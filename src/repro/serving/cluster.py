@@ -10,31 +10,32 @@ least-loaded).
 
 Simulation model
 ----------------
-Nodes are independent accelerators: once a request is placed, its
-execution never interacts with other nodes, so the fleet decomposes
-exactly into (1) a routing pass over the merged arrival sequence and
-(2) one per-node event loop over the node's assigned sub-stream, all on
-the same shared simulated clock.  The router makes each placement at the
-request's arrival time using the node's *advertised* load — a
-deterministic fluid model that charges each assigned request its
-largest-subnet service demand against the node's trace (exact for
-run-to-completion FIFO service; an admission-time estimate, as in real
-load balancers, when schedulers preempt or policies stop early).
+One causal event loop serves the fleet.  Every node runs a resumable
+:class:`~repro.serving.engine.ServingRun` on the shared simulated clock,
+and one event heap holds the arrivals plus whatever crash/recover
+transitions, failover retries, reroutes and rebalance ticks the cluster
+is configured with.  At each event time ``t`` the coordinator advances
+every node through the events that start *strictly before* ``t``, then
+handles every event stamped ``t`` — placing each arrival through the
+router and pushing it into the chosen node's run.  A node's dispatches
+at ``t`` therefore run on the next advance, after the whole burst of
+simultaneous arrivals has landed: no node decides on anything it could
+not know at that instant, and none decides before it could know it.
 
-Routers that declare ``uses_queue_depth`` (``"least-loaded-depth"``)
-instead read each node's *actual* scheduler depth: the cluster then
-drives one resumable :class:`~repro.serving.engine.ServingRun` per node
-on the shared clock, advancing every node to each arrival before
-routing it, so the signal is the node's real ready-queue length as of
-its last step boundary — stale by at most one in-flight step, exactly
-like the published queue lengths real load balancers act on.  Nodes
-still interact only through placement, and for queue-blind step-up
-policies each node's report equals a closed-loop ``serve()`` over the
-same sub-stream; queue-reading policies (load-adaptive, windowed
-batching's arrival horizon) see arrivals only once routed, inheriting
-the same one-event staleness as the routing signal.
+A router reads two kinds of load signal (:class:`NodeState`): live ones
+measured on the node's run as of its last step boundary — scheduler
+depth, resident context bytes, entry-edge depth, stale by at most the
+one step in flight, like the published stats a real load balancer acts
+on — and a deterministic fluid model that charges each placed request
+its largest-subnet service demand against the node's trace (exact for
+run-to-completion FIFO service; an admission-time estimate otherwise).
+Nodes interact only through placement, so for queue-blind routers and
+step-up policies each node's report equals a closed-loop ``serve()``
+over the requests placed on it.  Windowed batching never holds inside a
+fleet: its coalescing wait reads the node's next *pushed* arrival, and
+the coordinator pushes nothing ahead of its instant.
 
-The per-node results are exact :class:`~repro.serving.engine.ServingReport`
+The per-node results are :class:`~repro.serving.engine.ServingReport`
 runs; :class:`ClusterReport` aggregates them into fleet metrics
 (throughput, p50/p95/p99 latency, per-node utilisation, load imbalance).
 A single-node cluster therefore reproduces the single-engine path
@@ -65,7 +66,7 @@ from .engine import (
     ServingRun,
     _json_safe,
 )
-from .faults import FaultInjector, FaultSpec, RetryPolicy
+from .faults import FaultSpec, RetryPolicy
 from .observe import ObservabilitySpec, TraceRecorder, _coerce_observe
 from .request import Request
 from .spec import ClusterSpec
@@ -73,9 +74,7 @@ from .spec import ClusterSpec
 _LOG = get_logger("repro.serving")
 
 #: Scalar coordinator counters every :class:`ClusterReport` consumes
-#: from the cluster metrics registry (all zero outside fault-tolerant
-#: serving, so the registry-backed path is bit-identical to the old
-#: hand-counted one).
+#: from the cluster metrics registry.
 _COORDINATOR_COUNTERS = (
     "migrations",
     "failovers",
@@ -91,15 +90,15 @@ _COORDINATOR_COUNTERS = (
 class NodeState:
     """Router-visible view of one fleet node.
 
-    Wraps the node's engine together with the fluid-model load signals a
-    placement policy may inspect: predicted jobs in system
-    (:meth:`queue_length`), predicted busy horizon
-    (:meth:`backlog_seconds`) and the MAC/latency-aware completion
-    estimate for a further request (:meth:`predicted_finish`).  When the
-    cluster serves interleaved (depth-aware routers) a live
-    :class:`~repro.serving.engine.ServingRun` is attached and
-    :meth:`published_depth` reports the node's *actual* scheduler depth
-    at its last step boundary instead of the analytic estimate.
+    Holds the node's engine and its live
+    :class:`~repro.serving.engine.ServingRun`, and exposes the load
+    signals a placement policy may inspect.  Live signals are measured
+    on the run as of its last step boundary: :meth:`published_depth`,
+    :meth:`resident_bytes` and :meth:`batch_potential`.  The fluid model
+    charges every placed request its largest-subnet service demand:
+    :meth:`queue_length` (predicted jobs in system) and
+    :meth:`predicted_finish` (the MAC/latency-aware completion estimate
+    for further work).
     """
 
     def __init__(
@@ -107,11 +106,14 @@ class NodeState:
         index: int,
         name: str,
         engine: ServingEngine,
+        run: ServingRun,
         publish_interval: float = 0.0,
     ) -> None:
         self.index = index
         self.name = name
         self.engine = engine
+        #: The node's live event loop; a recovered node gets a new one.
+        self.run = run
         #: Publish granularity: how often (simulated seconds) the node
         #: refreshes the queue-depth snapshot it advertises to the
         #: router.  ``0`` publishes at every consult (the freshest
@@ -127,19 +129,7 @@ class NodeState:
         self.expected_macs = float(engine.backend.subnet_macs(num_subnets - 1))
         self.assigned: List[Request] = []
         self._completions: List[float] = []  # predicted, non-decreasing
-        #: Predicted first-pass start time per assigned request (parallel
-        #: to ``_completions``, also non-decreasing under FIFO fluid
-        #: service): the entry-edge signal — a request whose predicted
-        #: start is still in the future has not left the entry subnet
-        #: edge yet.
-        self._starts: List[float] = []
-        #: Predicted resident bytes per assigned in-system request
-        #: (parallel to ``_completions``): the plan-based context
-        #: footprint of each placed request, the analytic memory signal.
-        self._resident: List[int] = []
         self._busy_until = 0.0
-        #: Live event loop, attached only by interleaved cluster serving.
-        self.run: Optional[ServingRun] = None
 
     # ------------------------------------------------------------------
     # Load signals (what a router may inspect)
@@ -147,10 +137,6 @@ class NodeState:
     def queue_length(self, now: float) -> int:
         """Predicted number of assigned requests still in the system."""
         return len(self._completions) - bisect_right(self._completions, now)
-
-    def backlog_seconds(self, now: float) -> float:
-        """Predicted time until the node drains its assigned work."""
-        return max(self._busy_until - now, 0.0)
 
     def predicted_finish(self, macs: float, now: float) -> float:
         """Completion estimate for ``macs`` of new work placed now.
@@ -165,25 +151,20 @@ class NodeState:
     def published_depth(self, now: float) -> int:
         """The node's published ready-queue length.
 
-        With a live run attached this is the *actual* scheduler depth as
-        of the node's last step boundary — stale by at most the one step
-        currently in flight, like a real load balancer's published queue
-        length.  A positive :attr:`publish_interval` coarsens the
-        signal: the depth is snapshotted once per interval epoch and the
-        router reads the last snapshot between epochs, exactly like a
-        load balancer polling node stats on a timer.  Without a live run
-        (analytic two-phase serving) it falls back to the fluid-model
-        jobs-in-system estimate.
+        The run's scheduler depth as of its last step boundary — stale by
+        at most the one step in flight, like a real load balancer's
+        published queue length.  A positive :attr:`publish_interval`
+        coarsens the signal: the depth is snapshotted once per interval
+        epoch and the router reads the last snapshot between epochs,
+        exactly like a load balancer polling node stats on a timer.
         """
-        if self.run is not None:
-            if self.publish_interval <= 0.0:
-                return self.run.queue_depth
-            epoch = math.floor(now / self.publish_interval)
-            if epoch > self._published_epoch:
-                self._published_epoch = epoch
-                self._published_snapshot = self.run.queue_depth
-            return self._published_snapshot
-        return self.queue_length(now)
+        if self.publish_interval <= 0.0:
+            return self.run.queue_depth
+        epoch = math.floor(now / self.publish_interval)
+        if epoch > self._published_epoch:
+            self._published_epoch = epoch
+            self._published_snapshot = self.run.queue_depth
+        return self._published_snapshot
 
     def peek_published_depth(self, now: float) -> int:
         """What :meth:`published_depth` would answer, without refreshing.
@@ -193,78 +174,49 @@ class NodeState:
         snapshot epoch state byte-identical between traced and untraced
         runs even for routers that never consult the depth at all.
         """
-        if self.run is not None:
-            if self.publish_interval <= 0.0:
-                return self.run.queue_depth
-            epoch = math.floor(now / self.publish_interval)
-            if epoch > self._published_epoch:
-                return self.run.queue_depth
-            return self._published_snapshot
-        return self.queue_length(now)
+        if self.publish_interval <= 0.0:
+            return self.run.queue_depth
+        epoch = math.floor(now / self.publish_interval)
+        if epoch > self._published_epoch:
+            return self.run.queue_depth
+        return self._published_snapshot
 
     def resident_bytes(self, now: float) -> int:
         """Bytes of inference contexts resident on this node.
 
-        With a live run attached, the *measured* residency of the node's
-        in-flight contexts as of its last step boundary (the same
-        staleness as :meth:`published_depth`); otherwise the fluid-model
-        estimate — each assigned in-system request charged its plan-based
-        context footprint.  The signal a memory-aware router places on:
-        heterogeneous nodes differ in both speed *and* memory headroom,
-        and a node serving under a tight
+        Measured on the run's in-flight contexts as of its last step
+        boundary (the same staleness as :meth:`published_depth`).  The
+        signal a memory-aware router places on: heterogeneous nodes
+        differ in both speed *and* memory headroom, and a node serving
+        under a tight
         :attr:`~repro.serving.spec.ServingSpec.memory_budget_bytes` pays
         recompute MACs for every context beyond its budget.
         """
-        if self.run is not None:
-            return self.run.resident_bytes
-        start = bisect_right(self._completions, now)
-        return sum(self._resident[start:])
+        return self.run.resident_bytes
 
     def batch_potential(self, now: float) -> int:
         """Ready jobs a newly placed request could share its first pass with.
 
-        With a live run attached, the measured number of queued jobs
-        still at the entry subnet edge (the scheduler's per-edge index,
-        same one-event staleness as :meth:`published_depth`) — the
-        occupancy signal: routing a request to the node where the most
-        first steps wait lets coalescing policies fill their shared
-        passes instead of fragmenting waves across the fleet.  Without a
-        live run, the fluid-model count of assigned requests whose
-        predicted first pass has not yet started — jobs already past
-        their predicted start are mid-ladder and cannot share an entry
-        pass, so counting them (as jobs-in-system would) over-reports
-        the coalescing opportunity on a busy node.
+        The number of queued jobs still at the entry subnet edge (the
+        scheduler's per-edge index, same staleness as
+        :meth:`published_depth`) — the occupancy signal: routing a
+        request to the node where the most first steps wait lets
+        coalescing policies fill their shared passes instead of
+        fragmenting waves across the fleet.
         """
-        if self.run is not None:
-            return self.run.entry_edge_depth
-        return len(self._starts) - bisect_right(self._starts, now)
+        return self.run.entry_edge_depth
 
     # ------------------------------------------------------------------
-    def attach_run(self, run: ServingRun) -> None:
-        """Bind the node's live event loop (interleaved serving)."""
-        self.run = run
-
-    def assign(self, request: Request, push: bool = True) -> None:
+    def assign(self, request: Request) -> None:
         """Record a placement and roll the fluid load model forward.
 
-        ``push=False`` updates only the fluid model — the fault-tolerant
-        coordinator pushes into the live run itself (failed-over jobs
-        enter via ``push_resumed``, not ``push``).
+        The coordinator pushes the request into the live run itself
+        (failed-over jobs enter via ``push_resumed``, not ``push``).
         """
-        self.assigned.append(request)
-        self._charge(request)
-        if push and self.run is not None:
-            self.run.push(request)
-
-    def _charge(self, request: Request) -> None:
-        """Roll the fluid model forward by one placed request."""
-        start = max(request.arrival_time, self._busy_until)
         finish = self.predicted_finish(self.expected_macs, request.arrival_time)
-        self._busy_until = finish
-        self._starts.append(start)
+        self.assigned.append(request)
         self._completions.append(finish)
-        context = self.engine.backend.context_nbytes(request.batch_size)
-        self._resident.append(0 if context is None else context)
+        self._busy_until = finish
 
     def retract(self, request_id: int) -> bool:
         """Forget a placement: the request left this node before finishing.
@@ -275,26 +227,23 @@ class NodeState:
         for jobs it no longer holds (without this, analytic routers keep
         avoiding a node that is actually idle).  Removes the *last*
         matching placement (a request re-placed after failover may have
-        visited the same node twice) and rebuilds the predicted
-        start/completion/residency ledgers by replaying the remaining
-        placements in order — identical to a fresh model that never saw
-        the departed request.  Returns whether a placement was found.
+        visited the same node twice).  Placements before it are
+        unaffected, so the ledgers are cut at its position and only the
+        later placements are charged again — identical to a fresh model
+        that never saw the departed request.  Returns whether a
+        placement was found.
         """
         for position in range(len(self.assigned) - 1, -1, -1):
             if self.assigned[position].request_id == request_id:
-                del self.assigned[position]
                 break
         else:
             return False
-        remaining = self.assigned
-        self.assigned = []
-        self._starts = []
-        self._completions = []
-        self._resident = []
-        self._busy_until = 0.0
-        for request in remaining:
-            self.assigned.append(request)
-            self._charge(request)
+        later = self.assigned[position + 1 :]
+        del self.assigned[position:]
+        del self._completions[position:]
+        self._busy_until = self._completions[-1] if self._completions else 0.0
+        for request in later:
+            self.assign(request)
         return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -311,20 +260,6 @@ class Router:
     """
 
     name = "router"
-    #: Routers that read :meth:`NodeState.published_depth` declare this;
-    #: the cluster then serves interleaved so the signal reflects each
-    #: node's real queue state instead of the fluid model.
-    uses_queue_depth = False
-
-    @property
-    def needs_live_state(self) -> bool:
-        """Whether placements must read measured (interleaved) node state.
-
-        True for any live signal — published queue depth, resident
-        bytes — as opposed to the analytic fluid model; the cluster
-        serves interleaved exactly when this holds.
-        """
-        return self.uses_queue_depth
 
     def reset(self, nodes: Sequence[NodeState]) -> None:
         """Forget all routing state (start of a ``serve()`` run)."""
@@ -388,9 +323,7 @@ class LeastLoadedRouter(Router):
     which is what keeps memory-budgeted nodes
     (:attr:`~repro.serving.spec.ServingSpec.memory_budget_bytes`) out of
     eviction/recompute thrash; the registered ``"least-loaded-memory"``
-    router is this configuration.  Live-state signals (``"queue-depth"``,
-    ``"memory"``) make the cluster serve interleaved so placements read
-    measured node state.
+    router is this configuration.
     """
 
     name = "least-loaded"
@@ -402,15 +335,6 @@ class LeastLoadedRouter(Router):
                 f"unknown load signal '{signal}'; available: {list(self.SIGNALS)}"
             )
         self.signal = signal
-
-    @property
-    def uses_queue_depth(self) -> bool:  # type: ignore[override]
-        return self.signal == "queue-depth"
-
-    @property
-    def needs_live_state(self) -> bool:  # type: ignore[override]
-        # All live-state signals need the interleaved per-node runs.
-        return self.signal in ("queue-depth", "memory", "occupancy")
 
     def route(self, request: Request, nodes: Sequence[NodeState], now: float) -> int:
         if self.signal == "queue-depth":
@@ -473,9 +397,7 @@ class OccupancyAwareLeastLoadedRouter(LeastLoadedRouter):
     Routes each request to the node with the most queued first steps
     (:meth:`NodeState.batch_potential`), so coalescing batch policies —
     ``"continuous"`` in particular — form full shared passes instead of
-    fragmenting a wave across half-idle nodes.  Live-state: the cluster
-    serves interleaved and the signal is each node's measured per-edge
-    queue depth.
+    fragmenting a wave across half-idle nodes.
     """
 
     name = "least-loaded-occupancy"
@@ -523,8 +445,11 @@ class AdmissionController:
     still lands in time (``Request.max_subnet``), and an arrival whose
     context would blow a bounded node's memory budget — forcing
     eviction/recompute thrash for everyone resident — is capped to the
-    mandatory minimum level.  Only when even the minimum subnet cannot
-    meet the deadline on any reachable node is the request rejected.
+    mandatory minimum level.  The memory check counts the contexts the
+    node already holds plus those of requests pushed to it but not yet
+    admitted (the rest of a simultaneous burst).  Only when even the
+    minimum subnet cannot meet the deadline on any reachable node is the
+    request rejected.
     """
 
     def decide(
@@ -549,7 +474,8 @@ class AdmissionController:
         budget = node.engine.memory_budget.budget_bytes
         context = backend.context_nbytes(request.batch_size)
         if budget is not None and context is not None:
-            if node.resident_bytes(now) + context > budget:
+            demand = node.resident_bytes(now) + node.run.pending_context_bytes
+            if demand + context > budget:
                 # Predicted recompute thrash: take the mandatory level
                 # and leave — degrading beats evicting everyone else.
                 cap = 0
@@ -900,14 +826,13 @@ def _merge_incarnation_reports(reports: List[ServingReport]) -> ServingReport:
     merged.jobs.sort(key=lambda job: job.request.request_id)
     return merged
 
-
 def _publish_signals(
     recorder: TraceRecorder,
     nodes: Sequence[NodeState],
     request: Request,
     now: float,
 ) -> None:
-    """Record every node's advertised load at one routing decision.
+    """Record every candidate node's advertised load at one routing decision.
 
     One ``publish`` event per candidate node, carrying the fluid-model
     jobs-in-system estimate (``fluid_depth``), the node's actual live
@@ -919,16 +844,11 @@ def _publish_signals(
     The published value is read through a mutation-free peek so tracing
     cannot perturb the snapshot epochs a depth router will refresh.
 
-    Only emitted during live (interleaved / fault-tolerant) serving:
-    each event is stamped at the node's visible clock — a node cannot
+    Each event is stamped at the node's visible clock: a node cannot
     observe a routing consult before its own time, which keeps per-node
-    timestamps monotone even when a consult lands mid-step — and
-    two-phase serving routes everything before any node loop runs, so
-    its fluid-only samples have no node timeline to live on.
+    timestamps monotone even when a consult lands mid-step.
     """
     for node in nodes:
-        if node.run is None:
-            continue
         recorder.emit(
             "publish",
             max(now, node.run.now),
@@ -937,6 +857,425 @@ def _publish_signals(
             fluid_depth=int(node.queue_length(now)),
             live_depth=int(node.run.queue_depth),
             published_depth=int(node.peek_published_depth(now)),
+        )
+
+
+class _Coordinator:
+    """The fleet's one causal event loop, for one ``serve()`` call.
+
+    One event heap drives arrivals, injected crash/recover transitions,
+    the retry/reroute events failover generates and the rebalance tick;
+    each event kind has one ``_on_<kind>`` handler.  Ties break on push
+    order, and injected transitions are pushed first — so at an instant
+    where a node both recovers and receives work, the recovery lands
+    first.  Before the events stamped ``t`` are handled, every live node
+    is advanced through the events that start strictly before ``t``, so
+    placements read the node state of that instant and dispatches at
+    ``t`` see every request placed at ``t``.
+
+    Crash semantics: the dying run hands back its queued-but-unstarted
+    requests (migrated immediately, charged nothing) and its in-flight
+    jobs as subnet-level checkpoints.  A checkpoint re-enters a
+    surviving node through the eviction replay path
+    (:meth:`ServingRun.push_resumed`) after its capped exponential
+    backoff — the replay restores the activation state bit-for-bit and
+    charges the recompute MACs honestly.  When the retry budget or the
+    deadline runs out, the checkpoint is finalised with its best-so-far
+    anytime prediction instead of being lost: partial answers are the
+    whole point of stepping inference.
+    """
+
+    def __init__(
+        self,
+        cluster: "ServingCluster",
+        registry: MetricsRegistry,
+        recorder: Optional[TraceRecorder],
+    ) -> None:
+        faults = cluster.faults
+        self.router = cluster.router
+        self.recorder = recorder
+        self.injector = (
+            faults.injector(cluster.node_names) if faults is not None else None
+        )
+        self.retry = faults.retry if faults is not None else RetryPolicy()
+        self.enforce = all(engine.enforce_deadline for engine in cluster.engines)
+        self.admission = (
+            AdmissionController() if cluster.admission == "degrade" else None
+        )
+        # Coordinator counters live in the cluster metrics registry; the
+        # ClusterReport consumes their final values.
+        self.counters = {name: registry.counter(name) for name in _COORDINATOR_COUNTERS}
+        #: Records finalised here, not by a node: rejections, losses and
+        #: best-effort checkpoint completions.
+        self.extra: List[JobRecord] = []
+        self.nodes = [
+            NodeState(index, name, engine, self._open_run(engine, name),
+                      publish_interval=cluster.publish_interval)
+            for index, (name, engine) in enumerate(zip(cluster.node_names, cluster.engines))
+        ]
+        self.alive = [True] * len(self.nodes)
+        #: Each node's crashed run incarnations, in crash order.
+        self.crashed: List[List[ServingRun]] = [[] for _ in self.nodes]
+        rebalance = cluster.rebalance
+        self.rebalance = rebalance if rebalance is not None and rebalance.enabled else None
+        self.tick = 0.0
+        if self.rebalance is not None:
+            self.tick = self.rebalance.interval or cluster.publish_interval
+        self.events: List[Tuple[float, int, str, Any]] = []
+        self._sequence = itertools.count()
+        self.router.reset(self.nodes)
+
+    def _open_run(self, engine: ServingEngine, name: str) -> ServingRun:
+        return engine.open_run(fault_injector=self.injector, node=name, recorder=self.recorder)
+
+    def _push_event(self, time: float, kind: str, payload: Any) -> None:
+        heapq.heappush(self.events, (time, next(self._sequence), kind, payload))
+
+    def _emit(self, kind: str, now: float, node: Optional[NodeState] = None, **fields) -> None:
+        """Trace one coordinator event (node events at the node's clock)."""
+        if self.recorder is None:
+            return
+        if node is not None:
+            # The node learns of a decision no earlier than its own clock.
+            self.recorder.emit(kind, max(now, node.run.now), node=node.name, **fields)
+        else:
+            self.recorder.emit(kind, now, **fields)
+
+    # ------------------------------------------------------------------
+    def run(self, requests: Sequence[Request]) -> Tuple[List[ServingReport], List[JobRecord]]:
+        """Serve ``requests``; returns per-node reports and the extra records."""
+        if self.injector is not None:
+            for node in self.nodes:
+                for time, kind in self.injector.transitions(node.name):
+                    self._push_event(time, kind, node.index)
+        for request in sorted(requests, key=lambda r: (r.arrival_time, r.request_id)):
+            self._push_event(request.arrival_time, "arrival", request)
+        if self.rebalance is not None and requests:
+            first_arrival = min(request.arrival_time for request in requests)
+            self._push_event(first_arrival + self.tick, "rebalance", None)
+        advanced = -math.inf
+        while self.events:
+            time, _, kind, payload = heapq.heappop(self.events)
+            if time > advanced:
+                # Handling events never makes earlier work runnable, so
+                # one advance per distinct instant suffices.
+                before = math.nextafter(time, -math.inf)
+                for node, alive in zip(self.nodes, self.alive):
+                    if alive:
+                        node.run.run_until(before)
+                advanced = time
+            getattr(self, "_on_" + kind)(payload, time)
+        reports = []
+        for node, crashed in zip(self.nodes, self.crashed):
+            incarnations = list(crashed)
+            if not incarnations or incarnations[-1] is not node.run:
+                incarnations.append(node.run)
+            reports.append(_merge_incarnation_reports([run.finish() for run in incarnations]))
+        return reports, self.extra
+
+    # ------------------------------------------------------------------
+    # Event handlers
+    # ------------------------------------------------------------------
+    def _on_arrival(self, request: Request, now: float) -> None:
+        self._place(request, now)
+
+    _on_reroute = _on_arrival
+
+    def _on_retry(self, checkpoint: InterruptedJob, now: float) -> None:
+        self._place(checkpoint.request, now, checkpoint=checkpoint)
+
+    def _on_rebalance(self, _payload: Any, now: float) -> None:
+        """Evaluate the steal trigger on published depths; move work."""
+        from .rebalance import steal_plan
+
+        ready = self._reachable(now)
+        plan = None
+        if len(ready) >= 2:
+            plan = steal_plan([node.published_depth(now) for node in ready], self.rebalance)
+        if plan is not None:
+            victim = ready[plan[0]]
+            work = victim.run.steal(
+                plan[1], now, include_started=self.rebalance.steal_in_flight
+            )
+            for request in work.unstarted:
+                self._steal(victim, request, now, inflight=False)
+                self._place(request, now, exclude=victim.index)
+            for checkpoint in work.interrupted:
+                self._steal(victim, checkpoint.request, now, inflight=True)
+                self._place(
+                    checkpoint.request, now, checkpoint=checkpoint, exclude=victim.index
+                )
+        # Re-arm while any work remains anywhere; the last tick dies with
+        # the fleet drained, ending the event loop.
+        if self.events or any(
+            alive and node.run.next_event_time() is not None
+            for node, alive in zip(self.nodes, self.alive)
+        ):
+            self._push_event(now + self.tick, "rebalance", None)
+
+    def _on_crash(self, index: int, now: float) -> None:
+        if not self.alive[index]:
+            return
+        node = self.nodes[index]
+        work = node.run.crash(now)
+        self.crashed[index].append(node.run)
+        self.alive[index] = False
+        # The fluid model forgets the departed work immediately: analytic
+        # routing signals must not keep charging a dead node for jobs the
+        # survivors are about to take.
+        for request in work.unstarted:
+            node.retract(request.request_id)
+        for checkpoint in work.interrupted:
+            node.retract(checkpoint.request.request_id)
+        for request in work.unstarted:
+            self.counters["migrations"].add()
+            self._emit("migrate", now, node, request_id=request.request_id)
+            self._place(request, now)
+        for checkpoint in work.interrupted:
+            if checkpoint.retries >= self.retry.budget:
+                self._best_effort(checkpoint, "retry budget exhausted at node failure", now)
+                continue
+            delay = self.retry.backoff(checkpoint.retries)
+            checkpoint.retries += 1
+            retry_at = now + delay
+            if self._past_deadline(checkpoint, retry_at):
+                self._best_effort(checkpoint, "deadline reached during failover backoff", now)
+                continue
+            self.counters["failovers"].add()
+            self._push_event(retry_at, "retry", checkpoint)
+
+    def _on_recover(self, index: int, now: float) -> None:
+        if self.alive[index]:
+            return
+        node = self.nodes[index]
+        node.run = self._open_run(node.engine, node.name)
+        self.alive[index] = True
+        _LOG.info("node '%s' recovered at t=%.6f", node.name, now)
+        self._emit("recover", now, node)
+
+    # ------------------------------------------------------------------
+    # Placement
+    # ------------------------------------------------------------------
+    def _reachable(self, now: float) -> List[NodeState]:
+        return [
+            node
+            for node, alive in zip(self.nodes, self.alive)
+            if alive and (self.injector is None or self.injector.reachable(node.name, now))
+        ]
+
+    def _past_deadline(self, checkpoint: InterruptedJob, when: float) -> bool:
+        """Whether a retry at ``when`` could only be discovered dead."""
+        deadline = checkpoint.request.deadline
+        return self.enforce and deadline is not None and when >= deadline
+
+    def _steal(self, victim: NodeState, request: Request, now: float, inflight: bool) -> None:
+        victim.retract(request.request_id)
+        self.counters["steals"].add()
+        if inflight:
+            self.counters["inflight_steals"].add()
+        self._emit("steal", now, victim, request_id=request.request_id, inflight=inflight)
+
+    def _place(
+        self,
+        request: Request,
+        now: float,
+        checkpoint: Optional[InterruptedJob] = None,
+        exclude: Optional[int] = None,
+    ) -> None:
+        """Route one request (or failed-over checkpoint) and hand it over."""
+        reachable = self._reachable(now)
+        candidates = reachable
+        if checkpoint is not None and checkpoint.history:
+            # The replay must land on a node whose backend serves every
+            # level the checkpoint already executed.
+            top = checkpoint.history[-1]
+            candidates = [node for node in reachable if node.engine.backend.num_subnets > top]
+        if exclude is not None:
+            # Keep stolen work off its victim — unless the victim is the
+            # only node that can serve it (then a bounced steal beats
+            # losing the checkpoint).
+            others = [node for node in candidates if node.index != exclude]
+            if others:
+                candidates = others
+        if not candidates:
+            self._unplaceable(request, now, checkpoint, bool(reachable))
+            return
+        node = self._choose(request, candidates, now)
+        if checkpoint is not None:
+            node.assign(request)
+            self._emit(
+                "failover",
+                now,
+                node,
+                request_id=request.request_id,
+                resume_levels=len(checkpoint.history),
+                attempt=checkpoint.retries,
+            )
+            node.run.push_resumed(
+                request,
+                history=checkpoint.history,
+                steps=checkpoint.steps,
+                logits=checkpoint.logits,
+                retries=checkpoint.retries,
+                resume_at=now,
+            )
+            return
+        if self.admission is not None:
+            admitted = self._admit(request, node, candidates, now)
+            if admitted is None:
+                return
+            node, request = admitted
+        node.assign(request)
+        node.run.push(request, not_before=now)
+
+    def _choose(
+        self, request: Request, candidates: List[NodeState], now: float
+    ) -> NodeState:
+        """Trace the candidates' advertised load and ask the router for one."""
+        if self.recorder is not None:
+            _publish_signals(self.recorder, candidates, request, now)
+        # Routers answer with NodeState.index; renumber the candidate list
+        # positionally for the call (order-preserving, so index
+        # tie-breaks are unchanged) and restore afterwards.
+        original = [node.index for node in candidates]
+        for position, node in enumerate(candidates):
+            node.index = position
+        try:
+            choice = self.router.route(request, candidates, now)
+        finally:
+            for node, index in zip(candidates, original):
+                node.index = index
+        if not 0 <= choice < len(candidates):
+            raise IndexError(
+                f"router '{self.router.name}' returned node index {choice} "
+                f"for {len(candidates)} reachable nodes"
+            )
+        return candidates[choice]
+
+    def _admit(
+        self, request: Request, node: NodeState, candidates: List[NodeState], now: float
+    ) -> Optional[Tuple[NodeState, Request]]:
+        """Degrade-before-reject admission; ``None`` when rejected."""
+        verdict, admitted = self.admission.decide(request, node, now)
+        if verdict == "reject":
+            # The routed node cannot land even the minimum subnet; scan
+            # the rest before giving up.
+            for other in candidates:
+                if other is node:
+                    continue
+                verdict, admitted = self.admission.decide(request, other, now)
+                if verdict != "reject":
+                    node = other
+                    break
+        if verdict == "reject":
+            self.counters["rejected"].add()
+            _LOG.warning(
+                "admission: rejected request %s at t=%.6f — minimum subnet "
+                "predicted to miss the deadline on every reachable node",
+                request.request_id,
+                now,
+            )
+            self.extra.append(
+                JobRecord(
+                    request=request,
+                    status="rejected",
+                    stop_reason=(
+                        "admission control: minimum subnet predicted to "
+                        "miss the deadline on every reachable node"
+                    ),
+                )
+            )
+            self._emit(
+                "reject",
+                now,
+                request_id=request.request_id,
+                reason="minimum subnet misses deadline everywhere",
+            )
+            return None
+        if verdict == "degrade":
+            self.counters["degraded_admissions"].add()
+            _LOG.warning(
+                "admission: degraded request %s to max_subnet=%s on node '%s' at t=%.6f",
+                request.request_id,
+                admitted.max_subnet,
+                node.name,
+                now,
+            )
+            self._emit(
+                "degrade",
+                now,
+                node,
+                request_id=request.request_id,
+                max_subnet=admitted.max_subnet,
+            )
+        else:
+            self._emit("admit", now, node, request_id=request.request_id)
+        return node, admitted
+
+    def _unplaceable(
+        self,
+        request: Request,
+        now: float,
+        checkpoint: Optional[InterruptedJob],
+        any_reachable: bool,
+    ) -> None:
+        """No candidate node now: wait for one to become reachable, or finalise."""
+        if checkpoint is not None and any_reachable:
+            self._best_effort(
+                checkpoint, "no surviving node serves the checkpoint's subnet levels", now
+            )
+            return
+        horizon = self.injector.next_reachable(now) if self.injector is not None else math.inf
+        if math.isfinite(horizon):
+            if checkpoint is None:
+                self._push_event(horizon, "reroute", request)
+            elif self._past_deadline(checkpoint, horizon):
+                # A retry scheduled past the hard deadline could only be
+                # discovered dead at dispatch: finalise the best-so-far
+                # anytime answer immediately.
+                self._best_effort(
+                    checkpoint, "deadline reached before any node is reachable", now
+                )
+            else:
+                self._push_event(horizon, "retry", checkpoint)
+            return
+        if checkpoint is not None:
+            self._best_effort(checkpoint, "fleet never reachable again", now)
+            return
+        self.counters["lost"].add()
+        self.extra.append(
+            JobRecord(request=request, status="lost", stop_reason="no serving node ever reachable")
+        )
+        self._emit(
+            "finalize",
+            now,
+            request_id=request.request_id,
+            status="lost",
+            reason="no serving node ever reachable",
+            arrival=float(request.arrival_time),
+        )
+
+    def _best_effort(self, checkpoint: InterruptedJob, reason: str, now: float) -> None:
+        """Finalise a checkpoint with its best-so-far anytime result."""
+        status = "completed" if checkpoint.steps else "dropped"
+        self.extra.append(
+            JobRecord(
+                request=checkpoint.request,
+                steps=list(checkpoint.steps),
+                status=status,
+                stop_reason=reason,
+                final_logits=checkpoint.logits,
+                retries=checkpoint.retries,
+            )
+        )
+        self._emit(
+            "finalize",
+            now,
+            request_id=checkpoint.request.request_id,
+            status=status,
+            reason=reason,
+            best_effort=True,
+            arrival=float(checkpoint.request.arrival_time),
         )
 
 
@@ -955,9 +1294,10 @@ class ServingCluster:
     Build it from engines directly, or declaratively through
     :meth:`from_spec` — one engine per node
     :class:`~repro.serving.spec.ServingSpec` over heterogeneous
-    platforms.  :meth:`serve` routes the merged request stream and runs
+    platforms.  :meth:`serve` places the merged request stream and runs
     every node's event loop, returning a :class:`ClusterReport`.
     """
+
 
     def __init__(
         self,
@@ -1063,522 +1403,6 @@ class ServingCluster:
     def num_nodes(self) -> int:
         return len(self.engines)
 
-    # ------------------------------------------------------------------
-    def _route(
-        self,
-        requests: Sequence[Request],
-        runs: Optional[List[ServingRun]] = None,
-        recorder: Optional[TraceRecorder] = None,
-    ) -> List[NodeState]:
-        """The shared routing loop behind both serving modes.
-
-        Requests are processed in arrival order on the shared clock; each
-        placement sees the load state implied by all earlier placements.
-        With ``runs`` attached (interleaved mode) every node's event loop
-        is additionally advanced to each arrival before the router places
-        it, and each placement is pushed into the node's live run.
-        """
-        self._check_unique_ids(requests)
-        nodes = [
-            NodeState(index, name, engine, publish_interval=self.publish_interval)
-            for index, (name, engine) in enumerate(zip(self.node_names, self.engines))
-        ]
-        if runs is not None:
-            for node, run in zip(nodes, runs):
-                node.attach_run(run)
-        self.router.reset(nodes)
-        for request in sorted(requests, key=lambda r: (r.arrival_time, r.request_id)):
-            now = request.arrival_time
-            if runs is not None:
-                for run in runs:
-                    run.run_until(now)
-            if recorder is not None:
-                _publish_signals(recorder, nodes, request, now)
-            index = self.router.route(request, nodes, now)
-            if not 0 <= index < len(nodes):
-                raise IndexError(
-                    f"router '{self.router.name}' returned node index {index} "
-                    f"for a {len(nodes)}-node cluster"
-                )
-            nodes[index].assign(request)  # fluid model (+ live-run push)
-        return nodes
-
-    def route_requests(self, requests: Sequence[Request]) -> List[List[Request]]:
-        """Place every request on a node; returns the per-node sub-streams.
-
-        Request ids must be unique across the whole fleet workload
-        (:func:`~repro.serving.request.merge_streams` guarantees this for
-        merged streams).
-        """
-        return [node.assigned for node in self._route(requests)]
-
-    def _check_unique_ids(self, requests: Sequence[Request]) -> None:
-        ids = [request.request_id for request in requests]
-        if len(set(ids)) != len(ids):
-            raise ValueError(
-                "request_id values must be unique across the cluster workload; "
-                "merge streams with repro.serving.merge_streams"
-            )
-
-    def _serve_interleaved(
-        self,
-        requests: Sequence[Request],
-        recorder: Optional[TraceRecorder] = None,
-    ) -> Tuple[List[List[Request]], List[ServingReport]]:
-        """Route from live queue state: one resumable run per node.
-
-        Every node's event loop is advanced to each arrival before the
-        router places it, so :meth:`NodeState.published_depth` reports
-        genuine scheduler depths (stale by at most the step in flight).
-        For queue-*blind* step-up policies (greedy, confidence,
-        deadline-aware) each node's report is exactly what a closed-loop
-        ``serve()`` over its sub-stream would produce; policies that read
-        the queue (load-adaptive) or windowed batching's ``next_arrival``
-        see arrivals only once they are routed, so their decisions carry
-        the same one-event staleness as the routing signal itself.
-        """
-        runs = [
-            engine.open_run(node=name, recorder=recorder)
-            for name, engine in zip(self.node_names, self.engines)
-        ]
-        nodes = self._route(requests, runs=runs, recorder=recorder)
-        reports = [run.finish() for run in runs]
-        return [node.assigned for node in nodes], reports
-
-    # ------------------------------------------------------------------
-    # Fault-tolerant serving
-    # ------------------------------------------------------------------
-    def _serve_fault_tolerant(
-        self,
-        requests: Sequence[Request],
-        registry: Optional[MetricsRegistry] = None,
-        recorder: Optional[TraceRecorder] = None,
-    ) -> Tuple[List[ServingReport], List[JobRecord]]:
-        """Interleaved serving under a chaos schedule, with failover.
-
-        One event heap drives arrivals, injected crash/recover
-        transitions, and the retry/reroute events failover generates.
-        Ties break on push order, and injected transitions are pushed
-        first — so at an instant where a node both recovers and receives
-        work, the recovery lands first.  Every run is advanced to each
-        event before it is processed, so placements read post-fault
-        state.
-
-        Crash semantics: the dying run hands back its queued-but-
-        unstarted requests (migrated immediately, charged nothing) and
-        its in-flight jobs as subnet-level checkpoints.  A checkpoint
-        re-enters a surviving node through the eviction replay path
-        (:meth:`ServingRun.push_resumed`) after its capped exponential
-        backoff — the replay restores the activation state bit-for-bit
-        and charges the recompute MACs honestly, exactly like a PR-5
-        eviction.  When the retry budget or the deadline runs out, the
-        checkpoint is finalised with its best-so-far anytime prediction
-        instead of being lost: partial answers are the whole point of
-        stepping inference.
-        """
-        self._check_unique_ids(requests)
-        injector = (
-            self.faults.injector(self.node_names) if self.faults is not None else None
-        )
-        retry = self.faults.retry if self.faults is not None else RetryPolicy()
-        enforce = all(engine.enforce_deadline for engine in self.engines)
-        nodes = [
-            NodeState(index, name, engine, publish_interval=self.publish_interval)
-            for index, (name, engine) in enumerate(zip(self.node_names, self.engines))
-        ]
-        runs: List[ServingRun] = []
-        for name, engine, node in zip(self.node_names, self.engines, nodes):
-            run = engine.open_run(fault_injector=injector, node=name, recorder=recorder)
-            node.attach_run(run)
-            runs.append(run)
-        alive = [True] * len(nodes)
-        finished: List[List[ServingRun]] = [[] for _ in nodes]
-        self.router.reset(nodes)
-        admission = AdmissionController() if self.admission == "degrade" else None
-        # Coordinator counters live in the cluster metrics registry; the
-        # ClusterReport consumes their final values instead of keeping a
-        # parallel set of hand-maintained ints.
-        if registry is None:
-            registry = MetricsRegistry()
-        counters = {name: registry.counter(name) for name in _COORDINATOR_COUNTERS}
-        extra: List[JobRecord] = []
-
-        events: List[Tuple[float, int, str, Any]] = []
-        sequence = itertools.count()
-
-        def push_event(time: float, kind: str, payload: Any) -> None:
-            heapq.heappush(events, (time, next(sequence), kind, payload))
-
-        if injector is not None:
-            for index, name in enumerate(self.node_names):
-                for time, kind in injector.transitions(name):
-                    push_event(time, kind, index)
-        for request in sorted(requests, key=lambda r: (r.arrival_time, r.request_id)):
-            push_event(request.arrival_time, "arrival", request)
-
-        # Load-triggered work-stealing rides the same event heap: one
-        # self-rescheduling "rebalance" tick evaluates the trigger on
-        # published depths and moves work over the reroute path.
-        rebalance = (
-            self.rebalance
-            if self.rebalance is not None and self.rebalance.enabled
-            else None
-        )
-        tick = 0.0
-        if rebalance is not None and requests:
-            from .rebalance import steal_plan
-
-            tick = (
-                rebalance.interval
-                if rebalance.interval > 0
-                else self.publish_interval
-            )
-            first_arrival = min(request.arrival_time for request in requests)
-            push_event(first_arrival + tick, "rebalance", None)
-
-        def best_effort(checkpoint: InterruptedJob, reason: str, now: float) -> None:
-            """Finalise a checkpoint with its best-so-far anytime result."""
-            status = "completed" if checkpoint.steps else "dropped"
-            extra.append(
-                JobRecord(
-                    request=checkpoint.request,
-                    steps=list(checkpoint.steps),
-                    status=status,
-                    stop_reason=reason,
-                    final_logits=checkpoint.logits,
-                    retries=checkpoint.retries,
-                )
-            )
-            if recorder is not None:
-                recorder.emit(
-                    "finalize",
-                    now,
-                    request_id=checkpoint.request.request_id,
-                    status=status,
-                    reason=reason,
-                    best_effort=True,
-                    arrival=float(checkpoint.request.arrival_time),
-                )
-
-        def place(
-            request: Request,
-            now: float,
-            checkpoint: Optional[InterruptedJob] = None,
-            exclude: Optional[int] = None,
-        ) -> None:
-            reachable = [
-                node
-                for index, node in enumerate(nodes)
-                if alive[index]
-                and (injector is None or injector.reachable(node.name, now))
-            ]
-            candidates = reachable
-            if checkpoint is not None and checkpoint.history:
-                # The replay must land on a node whose backend serves
-                # every level the checkpoint already executed.
-                top = checkpoint.history[-1]
-                candidates = [
-                    node
-                    for node in reachable
-                    if node.engine.backend.num_subnets > top
-                ]
-            if exclude is not None:
-                # Keep stolen work off its victim — unless the victim is
-                # the only node that can serve it (then a bounced steal
-                # beats losing the checkpoint).
-                others = [node for node in candidates if node.index != exclude]
-                if others:
-                    candidates = others
-            if not candidates:
-                if checkpoint is not None and reachable:
-                    best_effort(
-                        checkpoint,
-                        "no surviving node serves the checkpoint's subnet levels",
-                        now,
-                    )
-                    return
-                horizon = (
-                    injector.next_reachable(now) if injector is not None else math.inf
-                )
-                if math.isfinite(horizon):
-                    if checkpoint is not None:
-                        # Clamp the retry heap to the hard deadline: a
-                        # retry scheduled past it could only be
-                        # discovered dead at dispatch, so finalise the
-                        # best-so-far anytime answer immediately.
-                        deadline = checkpoint.request.deadline
-                        if enforce and deadline is not None and horizon >= deadline:
-                            best_effort(
-                                checkpoint,
-                                "deadline reached before any node is reachable",
-                                now,
-                            )
-                        else:
-                            push_event(horizon, "retry", checkpoint)
-                    else:
-                        push_event(horizon, "reroute", request)
-                    return
-                if checkpoint is not None:
-                    best_effort(checkpoint, "fleet never reachable again", now)
-                else:
-                    counters["lost"].add()
-                    extra.append(
-                        JobRecord(
-                            request=request,
-                            status="lost",
-                            stop_reason="no serving node ever reachable",
-                        )
-                    )
-                    if recorder is not None:
-                        recorder.emit(
-                            "finalize",
-                            now,
-                            request_id=request.request_id,
-                            status="lost",
-                            reason="no serving node ever reachable",
-                            arrival=float(request.arrival_time),
-                        )
-                return
-            if recorder is not None:
-                _publish_signals(recorder, candidates, request, now)
-            # Routers answer with NodeState.index; renumber the filtered
-            # candidate list positionally for the call (order-preserving,
-            # so index tie-breaks are unchanged) and restore afterwards.
-            original = [node.index for node in candidates]
-            for position, node in enumerate(candidates):
-                node.index = position
-            try:
-                choice = self.router.route(request, candidates, now)
-            finally:
-                for node, index in zip(candidates, original):
-                    node.index = index
-            if not 0 <= choice < len(candidates):
-                raise IndexError(
-                    f"router '{self.router.name}' returned node index {choice} "
-                    f"for {len(candidates)} reachable nodes"
-                )
-            node = candidates[choice]
-            if checkpoint is None and admission is not None:
-                verdict, admitted = admission.decide(request, node, now)
-                if verdict == "reject":
-                    # The routed node cannot land even the minimum
-                    # subnet; scan the rest before giving up.
-                    for other in candidates:
-                        if other is node:
-                            continue
-                        verdict, admitted = admission.decide(request, other, now)
-                        if verdict != "reject":
-                            node = other
-                            break
-                if verdict == "reject":
-                    counters["rejected"].add()
-                    _LOG.warning(
-                        "admission: rejected request %s at t=%.6f — minimum "
-                        "subnet predicted to miss the deadline on every "
-                        "reachable node",
-                        request.request_id,
-                        now,
-                    )
-                    extra.append(
-                        JobRecord(
-                            request=request,
-                            status="rejected",
-                            stop_reason=(
-                                "admission control: minimum subnet predicted to "
-                                "miss the deadline on every reachable node"
-                            ),
-                        )
-                    )
-                    if recorder is not None:
-                        recorder.emit(
-                            "reject",
-                            now,
-                            request_id=request.request_id,
-                            reason="minimum subnet misses deadline everywhere",
-                        )
-                    return
-                if verdict == "degrade":
-                    counters["degraded_admissions"].add()
-                    assert admitted is not None
-                    _LOG.warning(
-                        "admission: degraded request %s to max_subnet=%s on "
-                        "node '%s' at t=%.6f",
-                        request.request_id,
-                        admitted.max_subnet,
-                        node.name,
-                        now,
-                    )
-                    if recorder is not None:
-                        # Clamped like every node-attributed coordinator
-                        # event: the node learns of the verdict no
-                        # earlier than its own clock.
-                        recorder.emit(
-                            "degrade",
-                            max(now, node.run.now),
-                            node=node.name,
-                            request_id=request.request_id,
-                            max_subnet=admitted.max_subnet,
-                        )
-                    request = admitted
-                elif recorder is not None:
-                    recorder.emit(
-                        "admit",
-                        max(now, node.run.now),
-                        node=node.name,
-                        request_id=request.request_id,
-                    )
-            node.assign(request, push=False)
-            if checkpoint is None:
-                node.run.push(request, not_before=now)
-            else:
-                if recorder is not None:
-                    recorder.emit(
-                        "failover",
-                        max(now, node.run.now),
-                        node=node.name,
-                        request_id=request.request_id,
-                        resume_levels=len(checkpoint.history),
-                        attempt=checkpoint.retries,
-                    )
-                node.run.push_resumed(
-                    request,
-                    history=checkpoint.history,
-                    steps=checkpoint.steps,
-                    logits=checkpoint.logits,
-                    retries=checkpoint.retries,
-                    resume_at=now,
-                )
-
-        while events:
-            time, _, kind, payload = heapq.heappop(events)
-            for index, run in enumerate(runs):
-                if alive[index]:
-                    run.run_until(time)
-            if kind in ("arrival", "reroute"):
-                place(payload, time)
-            elif kind == "retry":
-                place(payload.request, time, checkpoint=payload)
-            elif kind == "rebalance":
-                ready = [
-                    node
-                    for index, node in enumerate(nodes)
-                    if alive[index]
-                    and (injector is None or injector.reachable(node.name, time))
-                ]
-                plan = None
-                if len(ready) >= 2:
-                    depths = [node.published_depth(time) for node in ready]
-                    plan = steal_plan(depths, rebalance)
-                if plan is not None:
-                    victim = ready[plan[0]]
-                    work = victim.run.steal(
-                        plan[1], time, include_started=rebalance.steal_in_flight
-                    )
-                    for request in work.unstarted:
-                        victim.retract(request.request_id)
-                        counters["steals"].add()
-                        if recorder is not None:
-                            recorder.emit(
-                                "steal",
-                                max(time, victim.run.now),
-                                node=victim.name,
-                                request_id=request.request_id,
-                                inflight=False,
-                            )
-                        place(request, time, exclude=victim.index)
-                    for checkpoint in work.interrupted:
-                        victim.retract(checkpoint.request.request_id)
-                        counters["steals"].add()
-                        counters["inflight_steals"].add()
-                        if recorder is not None:
-                            recorder.emit(
-                                "steal",
-                                max(time, victim.run.now),
-                                node=victim.name,
-                                request_id=checkpoint.request.request_id,
-                                inflight=True,
-                            )
-                        place(
-                            checkpoint.request,
-                            time,
-                            checkpoint=checkpoint,
-                            exclude=victim.index,
-                        )
-                # Re-arm while any work remains anywhere; the last tick
-                # dies with the fleet drained, ending the event loop.
-                if events or any(
-                    alive[index] and run.next_event_time() is not None
-                    for index, run in enumerate(runs)
-                ):
-                    push_event(time + tick, "rebalance", None)
-            elif kind == "crash":
-                index = payload
-                if not alive[index]:
-                    continue
-                work = runs[index].crash(time)
-                finished[index].append(runs[index])
-                alive[index] = False
-                # The fluid model forgets the departed work immediately:
-                # analytic routing signals must not keep charging a dead
-                # node for jobs the survivors are about to take.
-                for request in work.unstarted:
-                    nodes[index].retract(request.request_id)
-                for checkpoint in work.interrupted:
-                    nodes[index].retract(checkpoint.request.request_id)
-                for request in work.unstarted:
-                    counters["migrations"].add()
-                    if recorder is not None:
-                        recorder.emit(
-                            "migrate",
-                            max(time, runs[index].now),
-                            node=self.node_names[index],
-                            request_id=request.request_id,
-                        )
-                    place(request, time)
-                for checkpoint in work.interrupted:
-                    if checkpoint.retries >= retry.budget:
-                        best_effort(
-                            checkpoint, "retry budget exhausted at node failure", time
-                        )
-                        continue
-                    delay = retry.backoff(checkpoint.retries)
-                    checkpoint.retries += 1
-                    retry_at = time + delay
-                    deadline = checkpoint.request.deadline
-                    if enforce and deadline is not None and retry_at >= deadline:
-                        best_effort(
-                            checkpoint, "deadline reached during failover backoff", time
-                        )
-                        continue
-                    counters["failovers"].add()
-                    push_event(retry_at, "retry", checkpoint)
-            elif kind == "recover":
-                index = payload
-                if alive[index]:
-                    continue
-                run = self.engines[index].open_run(
-                    fault_injector=injector,
-                    node=self.node_names[index],
-                    recorder=recorder,
-                )
-                nodes[index].attach_run(run)
-                runs[index] = run
-                alive[index] = True
-                _LOG.info(
-                    "node '%s' recovered at t=%.6f", self.node_names[index], time
-                )
-                if recorder is not None:
-                    recorder.emit("recover", time, node=self.node_names[index])
-
-        node_reports: List[ServingReport] = []
-        for index, run in enumerate(runs):
-            incarnations = list(finished[index])
-            if not incarnations or incarnations[-1] is not run:
-                incarnations.append(run)
-            node_reports.append(
-                _merge_incarnation_reports([r.finish() for r in incarnations])
-            )
-        return node_reports, extra
 
     def serve(
         self,
@@ -1586,14 +1410,15 @@ class ServingCluster:
         *,
         recorder: Optional[TraceRecorder] = None,
     ) -> ClusterReport:
-        """Route the workload and run every node's event loop.
+        """Place the workload through the router and serve it on every node.
 
         With no explicit ``requests`` the spec's declared streams are
         built and merged (requires :meth:`from_spec` construction).
-        Live-state routers (``needs_live_state``: published queue depth,
-        resident bytes) serve interleaved — placements read measured
-        per-node state; every other router uses the exact two-phase
-        decomposition.
+        Request ids must be unique across the whole fleet workload
+        (:func:`~repro.serving.request.merge_streams` guarantees this for
+        merged streams).  Every configuration — any router, with or
+        without faults, admission control or rebalancing — is served by
+        the one causal event loop the module docstring describes.
 
         ``recorder`` attaches a caller-owned observability trace (the
         caller closes it and keeps the events); without one, an enabled
@@ -1605,6 +1430,12 @@ class ServingCluster:
                 raise ValueError("no requests given and no ClusterSpec to build them from")
             input_shape = self.engines[0].backend.network.spec.input_shape
             requests = self.spec.build_requests(input_shape=input_shape)
+        ids = [request.request_id for request in requests]
+        if len(set(ids)) != len(ids):
+            raise ValueError(
+                "request_id values must be unique across the cluster workload; "
+                "merge streams with repro.serving.merge_streams"
+            )
         # One shared recorder per serve call: every node emits into the
         # same globally sequenced stream (per-node ServingSpec.observe is
         # superseded by the fleet-wide spec during cluster serving).
@@ -1616,7 +1447,6 @@ class ServingCluster:
         # change a report.
         registry = MetricsRegistry()
         counters = {name: registry.counter(name) for name in _COORDINATOR_COUNTERS}
-        extra_jobs: List[JobRecord] = []
         # Batch sharding splits oversized input batches into slice-view
         # shard requests before any placement; the report keeps the
         # parent map so per-shard logits gather back into one answer.
@@ -1644,26 +1474,9 @@ class ServingCluster:
                         shards=list(shard_ids),
                         batch_size=by_id[parent_id].batch_size,
                     )
-        rebalancing = self.rebalance is not None and self.rebalance.enabled
         try:
-            if self.faults is not None or self.admission != "none" or rebalancing:
-                node_reports, extra_jobs = self._serve_fault_tolerant(
-                    requests, registry=registry, recorder=recorder
-                )
-            elif getattr(self.router, "needs_live_state", False) or getattr(
-                self.router, "uses_queue_depth", False
-            ):
-                _, node_reports = self._serve_interleaved(requests, recorder=recorder)
-            else:
-                # Exact two-phase decomposition: route everything, then
-                # run each node's closed loop over its sub-stream.
-                nodes = self._route(requests, recorder=recorder)
-                node_reports = []
-                for name, engine, node in zip(self.node_names, self.engines, nodes):
-                    run = engine.open_run(node=name, recorder=recorder)
-                    for request in node.assigned:
-                        run.push(request)
-                    node_reports.append(run.finish())
+            coordinator = _Coordinator(self, registry, recorder)
+            node_reports, extra_jobs = coordinator.run(requests)
         finally:
             if owned is not None:
                 owned.close()
@@ -1683,6 +1496,7 @@ class ServingCluster:
             f"ServingCluster({self.name!r}, nodes={self.node_names}, "
             f"router={self.router.name!r})"
         )
+
 
 
 def serve(

@@ -24,8 +24,8 @@ a discrete-event simulator whose unit of work is one *subnet step*:
 
 The event loop itself lives in :class:`ServingRun`, a *resumable*
 stepper (``push`` / ``run_until`` / ``finish``): ``serve()`` simply
-pushes every request and runs to completion, while the fleet layer can
-interleave several runs on one clock and read each node's actual
+pushes every request and runs to completion, while the fleet layer
+drives one run per node on a shared clock and reads each node's actual
 scheduler depth between events (real-queue-state routing).
 
 The result is a :class:`ServingReport` with production-style metrics:
@@ -810,8 +810,9 @@ class ServingRun:
 
     ``serve()`` == push every request, then :meth:`finish`.  The fleet
     layer instead pushes requests *as it routes them* and calls
-    :meth:`run_until` to advance the node's clock only up to each
-    routing decision — between events it can read :attr:`queue_depth`,
+    :meth:`run_until` to advance the node only through the events that
+    start strictly before each routing decision — between events it can
+    read :attr:`queue_depth`,
     the node's actual scheduler depth as of the last step boundary (a
     stale-by-one-event signal, like a real load balancer sees).
 
@@ -930,7 +931,7 @@ class ServingRun:
         if self._obs is not None:
             # The node's perspective: it cannot learn of an arrival
             # earlier than its own clock, which keeps per-node
-            # timestamps monotone under interleaved fleet driving.
+            # timestamps monotone when the fleet pushes mid-step.
             self._obs.emit(
                 "arrive",
                 max(when, self.now),
@@ -997,7 +998,8 @@ class ServingRun:
         """Live scheduler depth as of the last processed event.
 
         Requests pushed but not yet admitted (their arrival lies beyond
-        the run's clock, or the node is mid-step) are *not* counted —
+        the run's clock, the node is mid-step, or they were pushed at the
+        instant being decided) are *not* counted —
         exactly the staleness a real load balancer's published queue
         length exhibits.
         """
@@ -1013,6 +1015,22 @@ class ServingRun:
         """
         jobs = list(self.scheduler.jobs()) + list(self._delayed_jobs.values())
         return MemoryBudget.resident_bytes(jobs)
+
+    @property
+    def pending_context_bytes(self) -> int:
+        """Predicted context bytes of requests pushed but not yet admitted.
+
+        The part of a node's memory demand that :attr:`resident_bytes`
+        cannot see yet: co-arrivals placed at the instant the node is
+        being consulted, which the node admits on its next advance.
+        Each is charged the plan-based footprint of its input batch.
+        """
+        backend = self.engine.backend
+        total = 0
+        for _, _, request in self._pending:
+            context = backend.context_nbytes(request.batch_size)
+            total += 0 if context is None else context
+        return total
 
     @property
     def entry_edge_depth(self) -> int:
@@ -1042,7 +1060,9 @@ class ServingRun:
                 candidates.append(self._watchdog[0][0])
         if not candidates:
             return None
-        return max(self.now, min(candidates))
+        soonest = min(candidates)
+        # Written so a NaN passes through for run_until to reject.
+        return self.now if soonest < self.now else soonest
 
     # ------------------------------------------------------------------
     # Driving the run
@@ -1058,6 +1078,13 @@ class ServingRun:
             when = self.next_event_time()
             if when is None or when > until:
                 return
+            if not math.isfinite(when):
+                raise RuntimeError(
+                    f"node '{self.node}': next event time is {when} (clock "
+                    f"{self.now}, {len(self.scheduler)} ready, "
+                    f"{len(self._pending)} pending, {len(self._delayed_heap)} "
+                    f"delayed); the run cannot advance"
+                )
             self._advance_once()
 
     def finish(self) -> ServingReport:

@@ -19,6 +19,7 @@ representative of production traffic:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -63,10 +64,17 @@ class Request:
     max_subnet: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.arrival_time < 0:
-            raise ValueError("arrival_time must be non-negative")
-        if self.deadline is not None and self.deadline <= self.arrival_time:
-            raise ValueError("deadline must be after arrival_time")
+        if not (math.isfinite(self.arrival_time) and self.arrival_time >= 0):
+            raise ValueError(
+                f"arrival_time must be finite and non-negative, got {self.arrival_time!r}"
+            )
+        if self.deadline is not None:
+            if not math.isfinite(self.deadline):
+                raise ValueError(
+                    f"deadline must be finite (None means best effort), got {self.deadline!r}"
+                )
+            if self.deadline <= self.arrival_time:
+                raise ValueError("deadline must be after arrival_time")
         if self.max_subnet is not None and self.max_subnet < 0:
             raise ValueError("max_subnet must be >= 0 when set")
 

@@ -25,7 +25,9 @@ cluster definitions into the repository and replay them bit-for-bit.
 
 from __future__ import annotations
 
+import inspect
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -96,6 +98,49 @@ def _check_fields(cls, data: Mapping[str, Any]) -> Dict[str, Any]:
     return dict(data)
 
 
+#: Stream parameters that must be strictly positive (rates, periods,
+#: counts, sizes) and those that must be non-negative (offsets, gaps).
+_POSITIVE_STREAM_PARAMS = frozenset(
+    {"rate", "num_requests", "num_bursts", "burst_size", "mean_gap", "period",
+     "batch_size", "priority_levels", "relative_deadline"}
+)
+_NON_NEGATIVE_STREAM_PARAMS = frozenset({"start_time", "intra_burst_gap", "arrival_times"})
+
+
+def _check_stream_params(kind: str, params: Mapping[str, Any]) -> None:
+    """Bind ``params`` to the ``kind`` generator's signature and check values.
+
+    A typo'd or missing parameter name, a non-finite number (NaN would
+    otherwise stall the serving clock) or a non-positive rate, period or
+    count raises :class:`~repro.utils.errors.ConfigError` at config load
+    instead of failing — or never terminating — inside ``serve()``.
+    """
+    generator = get_stream(kind)  # unknown generator names raise here
+    try:
+        inspect.signature(generator).bind(None, None, **params)
+    except TypeError as exc:
+        raise ConfigError(f"stream '{kind}': bad params: {exc}") from None
+    for name, value in params.items():
+        values = [value]
+        if name == "arrival_times":
+            if not isinstance(value, (list, tuple, np.ndarray)):
+                raise ConfigError(f"stream '{kind}': arrival_times must be a list of numbers")
+            values = value
+        for item in values:
+            if item is None:
+                continue
+            if isinstance(item, bool) or not isinstance(item, (int, float, np.number)):
+                raise ConfigError(f"stream '{kind}': {name} must be a number, got {item!r}")
+            if not math.isfinite(item):
+                raise ConfigError(f"stream '{kind}': {name} must be finite, got {item!r}")
+            if name in _POSITIVE_STREAM_PARAMS and item <= 0:
+                raise ConfigError(f"stream '{kind}': {name} must be positive, got {item!r}")
+            if name in _NON_NEGATIVE_STREAM_PARAMS and item < 0:
+                raise ConfigError(
+                    f"stream '{kind}': {name} must be non-negative, got {item!r}"
+                )
+
+
 @dataclass(frozen=True)
 class StreamSpec:
     """One request stream by generator name plus its parameters.
@@ -114,7 +159,7 @@ class StreamSpec:
     pool_seed: int = 0
 
     def __post_init__(self) -> None:
-        get_stream(self.kind)  # fail fast on unknown generator names
+        _check_stream_params(self.kind, self.params)
         if self.pool_size <= 0:
             raise ValueError("pool_size must be positive")
 

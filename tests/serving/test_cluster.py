@@ -1,6 +1,8 @@
 """Tests for fleet-level serving: routers, ServingCluster and ClusterReport."""
 
+import functools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from repro.runtime.platform import ResourceTrace
 from repro.serving import (
     ROUTERS,
+    BatchedSteppingBackend,
     ClusterSpec,
     JoinShortestQueueRouter,
     LeastLoadedRouter,
@@ -43,6 +46,11 @@ def _requests(images, labels, count=12, rate=4.0, deadline=None, seed=0):
     )
 
 
+def _partition(report):
+    """Request ids served per node, in id order: the routing decision."""
+    return [[job.request.request_id for job in node.jobs] for node in report.node_reports]
+
+
 @pytest.fixture
 def calibrated_rate(stepping_network):
     largest = float(stepping_network.subnet_macs(stepping_network.num_subnets - 1))
@@ -67,10 +75,10 @@ class TestRouting:
             [_engine(stepping_network, calibrated_rate) for _ in range(3)],
             router="round-robin",
         )
-        partition = cluster.route_requests(_requests(images, labels, count=9))
+        partition = _partition(cluster.serve(_requests(images, labels, count=9)))
         assert [len(part) for part in partition] == [3, 3, 3]
         # Arrival order maps 0->node0, 1->node1, 2->node2, 3->node0, ...
-        assert [r.request_id for r in partition[0]] == [0, 3, 6]
+        assert partition[0] == [0, 3, 6]
 
     def test_join_shortest_queue_prefers_idle_node(self, stepping_network, sample_pool,
                                                    calibrated_rate):
@@ -84,10 +92,10 @@ class TestRouting:
         burst = [
             Request(request_id=i, arrival_time=0.0, inputs=images[:2]) for i in range(2)
         ] + [Request(request_id=2, arrival_time=0.01, inputs=images[:2])]
-        partition = cluster.route_requests(burst)
+        partition = _partition(cluster.serve(burst))
         # The two simultaneous arrivals split across nodes; the third sees
         # equal queues again and ties back to node 0.
-        assert [{r.request_id for r in part} for part in partition] == [{0, 2}, {1}]
+        assert partition == [[0, 2], [1]]
 
     def test_least_loaded_prefers_faster_node(self, stepping_network, sample_pool,
                                               calibrated_rate):
@@ -100,7 +108,7 @@ class TestRouting:
         burst = [
             Request(request_id=i, arrival_time=0.0, inputs=images[:2]) for i in range(4)
         ]
-        partition = cluster.route_requests(burst)
+        partition = _partition(cluster.serve(burst))
         # The fast node takes most of the burst even though it is node 1.
         assert len(partition[1]) > len(partition[0])
 
@@ -132,9 +140,9 @@ class TestRouting:
         stream_b = _requests(images, labels, count=3, seed=1)  # ids also 0..2
         cluster = ServingCluster([_engine(stepping_network, calibrated_rate)])
         with pytest.raises(ValueError, match="merge_streams"):
-            cluster.route_requests(stream_a + stream_b)
+            cluster.serve(stream_a + stream_b)
         merged = merge_streams(stream_a, stream_b)
-        assert [len(p) for p in cluster.route_requests(merged)] == [6]
+        assert cluster.serve(merged).node_jobs == [6]
 
 
 class TestServingCluster:
@@ -286,21 +294,21 @@ class TestClusterReport:
 class TestQueueDepthRouting:
     """The real-queue-state router: published depth instead of the fluid model."""
 
-    def test_registered_and_flagged(self):
+    def test_registered(self):
         from repro.serving import QueueDepthLeastLoadedRouter
 
         assert "least-loaded-depth" in ROUTERS
         router = get_router("least-loaded-depth")
         assert isinstance(router, QueueDepthLeastLoadedRouter)
-        assert router.uses_queue_depth
-        assert not get_router("least-loaded").uses_queue_depth
+        assert router.signal == "queue-depth"
+        assert get_router("least-loaded").signal == "predicted-finish"
 
     def test_least_loaded_configurable_signal(self):
-        assert LeastLoadedRouter(signal="queue-depth").uses_queue_depth
+        assert LeastLoadedRouter(signal="queue-depth").signal == "queue-depth"
         with pytest.raises(ValueError, match="signal"):
             LeastLoadedRouter(signal="tea-leaves")
 
-    def test_interleaved_node_reports_match_closed_loop(
+    def test_depth_routed_node_reports_match_closed_loop(
         self, stepping_network, sample_pool, calibrated_rate
     ):
         """Exactness: depth-routed nodes == serve() over the same partition."""
@@ -314,10 +322,10 @@ class TestQueueDepthRouting:
             router="least-loaded-depth",
             names=["fast", "slow"],
         )
-        partition, node_reports = cluster._serve_interleaved(requests)
-        for engine_rate, sub_stream, report in zip(
-            [calibrated_rate * 2.0, calibrated_rate], partition, node_reports
+        for engine_rate, report in zip(
+            [calibrated_rate * 2.0, calibrated_rate], cluster.serve(requests).node_reports
         ):
+            sub_stream = [job.request for job in report.jobs]
             replay = _engine(stepping_network, engine_rate).serve(sub_stream)
             assert replay.as_dict() == report.as_dict()
             for a, b in zip(replay.jobs, report.jobs):
@@ -368,18 +376,13 @@ class TestQueueDepthRouting:
 class TestMemoryAwareRouting:
     """The resident-bytes router and the fleet memory aggregates."""
 
-    def test_registered_and_flagged(self):
+    def test_registered(self):
         from repro.serving import MemoryAwareLeastLoadedRouter
 
         assert "least-loaded-memory" in ROUTERS
         router = get_router("least-loaded-memory")
         assert isinstance(router, MemoryAwareLeastLoadedRouter)
         assert router.signal == "memory"
-        assert router.needs_live_state  # resident bytes: serve interleaved
-        assert not router.uses_queue_depth  # ...but it routes on memory
-        assert LeastLoadedRouter(signal="memory").needs_live_state
-        assert get_router("least-loaded-depth").needs_live_state
-        assert not get_router("least-loaded").needs_live_state
 
     def test_memory_signal_spreads_a_burst(
         self, stepping_network, sample_pool, calibrated_rate
@@ -401,24 +404,6 @@ class TestMemoryAwareRouting:
         report = cluster.serve(burst)
         assert report.num_jobs == 8
         assert all(count > 0 for count in report.node_jobs)
-
-    def test_analytic_resident_bytes_without_live_run(
-        self, stepping_network, sample_pool, calibrated_rate
-    ):
-        """The fluid-model fallback charges each in-system request its
-        plan-predicted context footprint."""
-        from repro.serving.cluster import NodeState
-
-        images, _ = sample_pool
-        engine = _engine(stepping_network, calibrated_rate)
-        node = NodeState(0, "n", engine)
-        context = engine.backend.context_nbytes(2)  # _requests uses batch_size=2
-        assert node.resident_bytes(0.0) == 0
-        request = Request(request_id=0, arrival_time=0.0, inputs=images[:2])
-        node.assign(request)
-        assert node.resident_bytes(0.0) == context
-        # Past the predicted completion the estimate drains back to zero.
-        assert node.resident_bytes(1e9) == 0
 
     def test_fleet_report_memory_aggregates(self, stepping_network, sample_pool):
         """ClusterReport sums node evictions and takes the peak residency."""
@@ -544,3 +529,76 @@ class TestBatchedFleetFromJson:
             if node_spec.num_subnets is not None:
                 for job in node_report.jobs:
                     assert job.final_subnet < node_spec.num_subnets
+
+
+CONFIG_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / "configs"
+
+
+def _closed_loop_configs():
+    """Checked-in fleets whose nodes only interact through placement.
+
+    No faults, admission control or rebalancing, and no windowed node
+    (whose coalescing wait would read arrivals beyond the node's clock).
+    """
+    names = []
+    for path in sorted(CONFIG_DIR.glob("cluster_*.json")):
+        spec = ClusterSpec.from_json(path)
+        if (
+            spec.faults is None
+            and spec.admission == "none"
+            and spec.rebalance is None
+            and all(node.batch_policy != "windowed" for node in spec.nodes)
+        ):
+            names.append(path.name)
+    return names
+
+
+@functools.lru_cache(maxsize=None)
+def _config_network(name):
+    return ClusterSpec.from_json(CONFIG_DIR / name).build_network()
+
+
+class TestCausalCoordinator:
+    """The one fleet event loop: causal placement, closed-loop node reports."""
+
+    @pytest.mark.parametrize("admission", ["none", "degrade"])
+    @pytest.mark.parametrize("router", sorted(ROUTERS))
+    def test_simultaneous_burst_shares_one_first_pass(
+        self, stepping_network, sample_pool, calibrated_rate, router, admission
+    ):
+        """Every member of a burst lands before the node picks a step, so
+        all eight share the entry pass — whatever the router or admission."""
+        images, _ = sample_pool
+        burst = [
+            Request(request_id=i, arrival_time=0.0, inputs=images[i][None]) for i in range(8)
+        ]
+        engine = ServingEngine(
+            BatchedSteppingBackend(stepping_network),
+            ResourceTrace.constant(calibrated_rate, name="t"),
+            batch_policy="same-level",
+        )
+        cluster = ServingCluster([engine], router=router, admission=admission)
+        node = cluster.serve(burst).node_reports[0]
+        assert node.batch_sizes[0] == 8
+        assert {job.steps[0].start_time for job in node.jobs} == {0.0}
+
+    @pytest.mark.parametrize("router", ["round-robin", "join-shortest-queue", "least-loaded"])
+    @pytest.mark.parametrize("config", _closed_loop_configs())
+    def test_node_reports_equal_closed_loop_serve(self, config, router):
+        """Each node's report and logits == engine.serve() over its sub-stream."""
+        data = json.loads((CONFIG_DIR / config).read_text())
+        spec = ClusterSpec.from_dict(dict(data, router=router))
+        network = _config_network(config)
+        report = ServingCluster.from_spec(spec, network).serve()
+        assert sum(report.node_jobs) == report.num_jobs > 0
+        for node_spec, node in zip(spec.nodes, report.node_reports):
+            solo = node_spec.build_engine(network).serve([job.request for job in node.jobs])
+            fleet_dict, solo_dict = node.to_dict(), solo.to_dict()
+            fleet_dict.pop("metrics")
+            solo_dict.pop("metrics")
+            assert fleet_dict == solo_dict
+            for fleet_job, solo_job in zip(node.jobs, solo.jobs):
+                if solo_job.final_logits is None:
+                    assert fleet_job.final_logits is None
+                else:
+                    assert np.array_equal(fleet_job.final_logits, solo_job.final_logits)

@@ -96,6 +96,37 @@ class TestServeBasics:
         with pytest.raises(ValueError, match="request_id"):
             ServingEngine(SteppingBackend(stepping_network), fast_trace).serve(duplicates)
 
+    @pytest.mark.parametrize("not_before", [math.inf, math.nan])
+    def test_non_finite_event_time_raises_instead_of_looping(
+        self, stepping_network, fast_trace, not_before
+    ):
+        """A run whose next event lies at a non-finite time cannot advance:
+        it reports its state instead of spinning forever."""
+        request = Request(request_id=0, arrival_time=0.0, inputs=np.zeros((1, 3, 12, 12)))
+        if math.isnan(not_before):
+            # Requests reject NaN times themselves; bypass that check.
+            object.__setattr__(request, "arrival_time", math.nan)
+            not_before = None
+        run = ServingEngine(SteppingBackend(stepping_network), fast_trace).open_run(node="n")
+        run.push(request, not_before=not_before)
+        with pytest.raises(RuntimeError, match="node 'n': next event time is"):
+            run.finish()
+
+    def test_pending_context_bytes_counts_pushed_unadmitted_requests(
+        self, stepping_network, fast_trace
+    ):
+        engine = ServingEngine(SteppingBackend(stepping_network), fast_trace)
+        context = engine.backend.context_nbytes(2)
+        run = engine.open_run()
+        for index in range(3):
+            run.push(
+                Request(request_id=index, arrival_time=0.0, inputs=np.zeros((2, 3, 12, 12)))
+            )
+        assert run.pending_context_bytes == 3 * context
+        run.run_until(0.0)  # admitted: the bytes leave the pending count
+        assert run.pending_context_bytes == 0
+        run.finish()
+
 
 class TestQueueingBehaviour:
     def test_waiting_requests_queue(self, stepping_network, sample_pool):

@@ -6,10 +6,8 @@ bit-identical to solo incremental inference over its executed level
 sequence — stealing relocates requests (and, opted in, subnet-level
 checkpoints over the bit-exact replay path), never partial numerics —
 and the recompute MACs a stolen in-flight job pays are charged exactly.
-Alongside it, the fluid-model regressions this PR fixes: a node's
-analytic load signals must match a fresh model that never saw departed
-work, and `batch_potential` must not over-report coalescing on a node
-whose queue has already left the entry edge.
+Alongside it, the fluid-model regression: a node's analytic load
+signals must match a fresh model that never saw departed work.
 """
 
 import json
@@ -214,7 +212,6 @@ class TestPowerOfTwoChoices:
         assert ROUTERS["power-of-two-choices"] is PowerOfTwoChoicesRouter
         assert ROUTERS["p2c"] is PowerOfTwoChoicesRouter
         assert isinstance(get_router("p2c"), PowerOfTwoChoicesRouter)
-        assert PowerOfTwoChoicesRouter.uses_queue_depth
 
     def test_cluster_spec_accepts_the_name(self):
         spec = ClusterSpec.from_dict(
@@ -226,85 +223,103 @@ class TestPowerOfTwoChoices:
         )
         assert spec.router == "power-of-two-choices"
 
-    def _nodes(self, network, depths):
-        nodes = []
-        for index, depth in enumerate(depths):
-            node = NodeState(index, f"n{index}", _engine(network))
-            for i in range(depth):
-                node.assign(
-                    Request(request_id=index * 100 + i, arrival_time=0.0,
-                            inputs=np.zeros((1, 3, 12, 12), dtype=np.float32))
-                )
-            nodes.append(node)
-        return nodes
+    def _cluster(self, network, count, **kwargs):
+        return ServingCluster(
+            [_engine(network) for _ in range(count)],
+            router=PowerOfTwoChoicesRouter(seed=kwargs.pop("seed", 0)),
+            names=[f"n{index}" for index in range(count)],
+            **kwargs,
+        )
 
-    def test_always_avoids_the_lone_deep_node(self, stepping_network):
-        nodes = self._nodes(stepping_network, [5, 0, 0])
-        router = PowerOfTwoChoicesRouter(seed=0)
-        router.reset(nodes)
-        request = Request(request_id=999, arrival_time=0.0,
-                          inputs=np.zeros((1, 3, 12, 12), dtype=np.float32))
-        # Every sampled pair contains at least one empty node, which
-        # always wins the depth comparison against depth 5.
-        for _ in range(32):
-            assert router.route(request, nodes, now=0.0) != 0
+    def test_always_avoids_the_lone_deep_node(self, stepping_network, sample_pool):
+        images, _ = sample_pool
+        # n1/n2 are partitioned while a burst of six lands on n0; after
+        # the heal n0 still holds all six (one full ladder takes 0.4 s),
+        # and every sampled pair holds a shallower node.
+        faults = FaultSpec(
+            events=(
+                PartitionFault(node="n1", time=0.0, duration=0.2),
+                PartitionFault(node="n2", time=0.0, duration=0.2),
+            )
+        )
+        cluster = self._cluster(stepping_network, 3, faults=faults)
+        late = [
+            Request(request_id=6 + i, arrival_time=0.25 + 0.01 * i, inputs=images[i][None])
+            for i in range(4)
+        ]
+        report = cluster.serve(_requests(images, count=6, gap=0.0) + late)
+        served_by = {
+            job.request.request_id: index
+            for index, node in enumerate(report.node_reports)
+            for job in node.jobs
+        }
+        assert [served_by[rid] for rid in range(6)] == [0] * 6
+        assert all(served_by[request.request_id] != 0 for request in late)
 
-    def test_seeded_sampling_is_reproducible_across_resets(self, stepping_network):
-        nodes = self._nodes(stepping_network, [2, 2, 2, 2])
-        request = Request(request_id=999, arrival_time=0.0,
-                          inputs=np.zeros((1, 3, 12, 12), dtype=np.float32))
-        router = PowerOfTwoChoicesRouter(seed=7)
-        router.reset(nodes)
-        first = [router.route(request, nodes, now=0.0) for _ in range(16)]
-        router.reset(nodes)
-        second = [router.route(request, nodes, now=0.0) for _ in range(16)]
-        assert first == second
-        assert len(set(first)) > 1  # it genuinely samples
+    def test_seeded_sampling_is_reproducible_across_resets(
+        self, stepping_network, sample_pool
+    ):
+        images, _ = sample_pool
+        cluster = self._cluster(stepping_network, 4, seed=7)
+        requests = _requests(images, count=16, gap=0.01)
 
-    def test_single_node_short_circuits(self, stepping_network):
-        nodes = self._nodes(stepping_network, [3])
-        router = PowerOfTwoChoicesRouter()
-        router.reset(nodes)
-        request = Request(request_id=999, arrival_time=0.0,
-                          inputs=np.zeros((1, 3, 12, 12), dtype=np.float32))
-        assert router.route(request, nodes, now=0.0) == 0
+        def placements():
+            report = cluster.serve(requests)
+            return {
+                job.request.request_id: index
+                for index, node in enumerate(report.node_reports)
+                for job in node.jobs
+            }
+
+        first = placements()
+        assert placements() == first  # serve() resets the sampler
+        assert len(set(first.values())) > 1  # it genuinely samples
+
+    def test_single_node_short_circuits(self, stepping_network, sample_pool):
+        images, _ = sample_pool
+        report = self._cluster(stepping_network, 1).serve(_requests(images, count=3))
+        assert report.node_jobs == [3]
 
 
 # ----------------------------------------------------------------------
-# Fluid-model load signals: retract and the entry-edge fallback
+# Fluid-model load signals: retract
 # ----------------------------------------------------------------------
 class TestFluidModelRetract:
     def _request(self, rid, arrival=0.0):
         return Request(request_id=rid, arrival_time=arrival,
                        inputs=np.zeros((1, 3, 12, 12), dtype=np.float32))
 
+    def _node(self, network):
+        engine = _engine(network)
+        return NodeState(0, "a", engine, engine.open_run(node="a"))
+
     def test_retract_matches_fresh_model_oracle(self, stepping_network):
-        node = NodeState(0, "a", _engine(stepping_network))
-        for rid in range(5):
-            node.assign(self._request(rid, arrival=rid * 0.1))
-        assert node.retract(2)
-        assert node.retract(4)
+        # Arrivals overlap the predicted service, so every placement's
+        # completion depends on the ones before it; departures at the
+        # head, the tail and in between all re-charge only what follows.
+        for departed in [(2, 4), (0,), (4,), (1, 0, 3)]:
+            node = self._node(stepping_network)
+            for rid in range(5):
+                node.assign(self._request(rid, arrival=rid * 0.1))
+            for rid in departed:
+                assert node.retract(rid)
 
-        oracle = NodeState(0, "a", _engine(stepping_network))
-        for rid in (0, 1, 3):
-            oracle.assign(self._request(rid, arrival=rid * 0.1))
+            oracle = self._node(stepping_network)
+            remaining = [rid for rid in range(5) if rid not in departed]
+            for rid in remaining:
+                oracle.assign(self._request(rid, arrival=rid * 0.1))
 
-        assert [r.request_id for r in node.assigned] == [0, 1, 3]
-        assert node._starts == oracle._starts
-        assert node._completions == oracle._completions
-        assert node._resident == oracle._resident
-        assert node._busy_until == oracle._busy_until
-        for now in (0.0, 0.15, 0.5, 2.0, 10.0):
-            assert node.queue_length(now) == oracle.queue_length(now)
-            assert node.backlog_seconds(now) == oracle.backlog_seconds(now)
-            assert node.batch_potential(now) == oracle.batch_potential(now)
-            assert node.resident_bytes(now) == oracle.resident_bytes(now)
-            assert node.predicted_finish(1e6, now) == oracle.predicted_finish(1e6, now)
+            assert [r.request_id for r in node.assigned] == remaining
+            assert node._completions == oracle._completions
+            assert node._busy_until == oracle._busy_until
+            for now in (0.0, 0.15, 0.5, 2.0, 10.0):
+                assert node.queue_length(now) == oracle.queue_length(now)
+                assert node.predicted_finish(1e6, now) == oracle.predicted_finish(1e6, now)
 
     def test_retract_removes_last_duplicate_placement(self, stepping_network):
         # A request re-placed after failover can visit the same node
         # twice; only its latest placement is forgotten.
-        node = NodeState(0, "a", _engine(stepping_network))
+        node = self._node(stepping_network)
         for rid in (0, 1, 0):
             node.assign(self._request(rid))
         assert node.retract(0)
@@ -354,44 +369,6 @@ class TestFluidModelRetract:
         ]
         assert post
         assert post[0]["fluid_depth"] == 0
-
-
-class TestBatchPotentialFallback:
-    def test_analytic_fallback_counts_entry_edge_only(self, stepping_network):
-        # One request, arrival 0: its predicted first pass starts
-        # immediately, so moments later it is mid-ladder — no coalescing
-        # opportunity — while jobs-in-system still reports 1.
-        node = NodeState(0, "a", _engine(stepping_network))
-        node.assign(Request(request_id=0, arrival_time=0.0,
-                            inputs=np.zeros((1, 3, 12, 12), dtype=np.float32)))
-        assert node.queue_length(0.05) == 1
-        assert node.batch_potential(0.05) == 0
-        # Before the predicted start the entry pass is still shareable.
-        assert node.batch_potential(-0.01) == 1
-
-    def test_analytic_matches_live_on_a_drained_node(
-        self, stepping_network, sample_pool
-    ):
-        images, _ = sample_pool
-        engine = _engine(stepping_network)
-        node = NodeState(0, "a", engine)
-        request = Request(request_id=0, arrival_time=0.0, inputs=images[0][None])
-        node.assign(request, push=False)
-        run = engine.open_run(node="a")
-        run.push(request)
-        run.run_until(10.0)
-        # Live signal on the drained node: nothing waits at the entry edge.
-        node.attach_run(run)
-        assert node.batch_potential(10.0) == run.entry_edge_depth == 0
-        # The analytic fallback agrees once the run detaches — the
-        # pre-fix queue_length fallback would still answer 1 here only
-        # after the predicted completion; pin the entry-edge semantics
-        # at a mid-service instant instead.
-        node.run = None
-        mid = (node._starts[0] + node._completions[0]) / 2.0
-        assert node.queue_length(mid) == 1
-        assert node.batch_potential(mid) == 0
-        run.finish()
 
 
 # ----------------------------------------------------------------------

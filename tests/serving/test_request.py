@@ -31,6 +31,18 @@ class TestRequest:
         with pytest.raises(ValueError):
             Request(request_id=0, arrival_time=-0.5, inputs=np.zeros((1, 3, 4, 4)))
 
+    @pytest.mark.parametrize("arrival", [float("nan"), float("inf")])
+    def test_non_finite_arrival_rejected(self, arrival):
+        with pytest.raises(ValueError, match="arrival_time must be finite"):
+            Request(request_id=0, arrival_time=arrival, inputs=np.zeros((1, 3, 4, 4)))
+
+    @pytest.mark.parametrize("deadline", [float("nan"), float("inf")])
+    def test_non_finite_deadline_rejected(self, deadline):
+        with pytest.raises(ValueError, match="deadline must be finite"):
+            Request(
+                request_id=0, arrival_time=1.0, inputs=np.zeros((1, 3, 4, 4)), deadline=deadline
+            )
+
     def test_relative_deadline(self):
         request = Request(request_id=0, arrival_time=2.0, inputs=np.zeros((1, 3, 4, 4)), deadline=3.5)
         assert request.relative_deadline == pytest.approx(1.5)

@@ -1,6 +1,7 @@
 """Tests for the declarative serving specs (ServingSpec / ClusterSpec / StreamSpec)."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from repro.serving import (
     get_policy,
     poisson_stream,
 )
+from repro.utils.errors import ConfigError
 
 
 class TestServingSpec:
@@ -151,6 +153,50 @@ class TestStreamSpec:
     def test_unknown_kind_rejected(self):
         with pytest.raises(KeyError, match="stream"):
             StreamSpec(kind="adversarial")
+
+    SMOKE = Path(__file__).resolve().parents[2] / "benchmarks" / "configs" / "cluster_smoke.json"
+
+    def _smoke_with(self, **params):
+        data = json.loads(self.SMOKE.read_text())
+        data["streams"][0]["params"].update(params)
+        return data
+
+    @pytest.mark.parametrize(
+        "params, match",
+        [
+            ({"rate": float("nan")}, "rate must be finite"),
+            ({"rate": float("inf")}, "rate must be finite"),
+            ({"rate": 0.0}, "rate must be positive"),
+            ({"rate": -5.0}, "rate must be positive"),
+            ({"num_requests": 0}, "num_requests must be positive"),
+            ({"relative_deadline": float("nan")}, "relative_deadline must be finite"),
+            ({"start_time": -1.0}, "start_time must be non-negative"),
+            ({"rate": "fast"}, "rate must be a number"),
+        ],
+    )
+    def test_bad_stream_values_fail_at_config_load(self, params, match):
+        # A NaN rate used to pass from_dict and then stall serve() forever.
+        with pytest.raises(ConfigError, match=match):
+            ClusterSpec.from_dict(self._smoke_with(**params))
+
+    def test_misspelt_stream_param_fails_at_config_load(self):
+        data = self._smoke_with()
+        params = data["streams"][0]["params"]
+        params["rtae"] = params.pop("rate")
+        with pytest.raises(ConfigError, match="missing a required argument: 'rate'"):
+            ClusterSpec.from_dict(data)
+        params["rate"] = 600.0
+        with pytest.raises(ConfigError, match="unexpected keyword argument 'rtae'"):
+            ClusterSpec.from_dict(data)
+
+    def test_bad_replay_arrival_time_fails_at_config_load(self):
+        data = json.loads(self.SMOKE.read_text())
+        data["streams"][1]["params"]["arrival_times"][0] = float("nan")
+        with pytest.raises(ConfigError, match="arrival_times must be finite"):
+            ClusterSpec.from_dict(data)
+        data["streams"][1]["params"]["arrival_times"] = 0.5
+        with pytest.raises(ConfigError, match="arrival_times must be a list"):
+            ClusterSpec.from_dict(data)
 
     def test_builds_from_explicit_pool(self, sample_pool):
         images, labels = sample_pool
