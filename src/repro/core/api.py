@@ -73,7 +73,9 @@ class SteppingNetResult:
 
         Convenience for ``repro.serving.serve(self, cluster_spec)`` — the
         train-then-serve hand-off in one call.  Returns the fleet's
-        :class:`~repro.serving.cluster.ClusterReport`.
+        :class:`~repro.serving.cluster.ClusterReport`: the
+        :class:`~repro.serving.engine.ServingReport` metrics over the
+        fleet's job table, plus the per-node reports.
         """
         from ..serving.cluster import serve as _serve
 

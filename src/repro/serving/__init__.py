@@ -32,9 +32,11 @@ configs.
   logits to unbounded serving;
 * :mod:`repro.serving.engine` — the discrete-event
   :class:`ServingEngine`, its resumable :class:`ServingRun` event loop
-  and the :class:`ServingReport` metrics (throughput, p50/p95/p99
-  latency, deadline-miss rate, batch occupancy, eviction/recompute
-  accounting);
+  and the one report type, :class:`ServingReport`: every metric
+  (throughput, p50/p95/p99 latency, deadline-miss rate, subnet level at
+  the deadline, batch occupancy, eviction/recompute accounting,
+  ``retries`` — the retry attempts its jobs consumed, across nodes)
+  computed once over one job table;
 * :mod:`repro.serving.faults` — fault injection for chaos testing:
   seeded, JSON-round-trippable :class:`FaultSpec` schedules of node
   crashes (with optional recovery), transient step failures, slowdown
@@ -78,7 +80,9 @@ configs.
 * :mod:`repro.serving.cluster` — the fleet layer: request routers
   (round-robin, join-shortest-queue, least-loaded) behind the
   :data:`ROUTERS` registry, the :class:`ServingCluster` facade and its
-  aggregated :class:`ClusterReport`.
+  :class:`ClusterReport` — a :class:`ServingReport` over the node
+  tables plus the coordinator's own records, with the per-node reports
+  and fleet counters alongside.
 
 The documented front door is :func:`serve`::
 

@@ -713,30 +713,17 @@ _OBJECTIVE_METRICS = {
 }
 
 
-def _report_get(report: Any, key: str, attr: Optional[str] = None) -> Optional[float]:
-    if isinstance(report, Mapping):
-        value = report.get(key)
-    else:
-        value = getattr(report, attr or key, None)
+def _report_get(report: Mapping[str, Any], key: str) -> Optional[float]:
+    value = report.get(key)
     if value is None:
         return None
     value = float(value)
     return value if math.isfinite(value) else None
 
 
-def _delivered_levels(report: Any) -> Optional[float]:
-    if isinstance(report, Mapping):
-        value = report.get("mean_delivered_levels")
-        return float(value) if value is not None else None
-    jobs = getattr(report, "completed_jobs", None)
-    if jobs is None:
-        jobs = getattr(report, "_completed_jobs", None)
-    if not jobs:
-        return None
-    return sum(job.final_subnet + 1 for job in jobs) / len(jobs)
-
-
 def _report_metrics(report: Any) -> Dict[str, Optional[float]]:
+    if not isinstance(report, Mapping):
+        report = report.as_dict()
     num_jobs = _report_get(report, "num_jobs")
     rejected = _report_get(report, "rejected") or 0.0
     lost = _report_get(report, "lost") or 0.0
@@ -751,10 +738,10 @@ def _report_metrics(report: Any) -> Dict[str, Optional[float]]:
         "p50_latency": _report_get(report, "p50_latency"),
         "p95_latency": _report_get(report, "p95_latency"),
         "p99_latency": _report_get(report, "p99_latency"),
-        "throughput_rps": _report_get(report, "throughput_rps", attr="throughput"),
+        "throughput_rps": _report_get(report, "throughput_rps"),
         "deadline_hit_rate": (1.0 - miss) if miss is not None else None,
         "loss_rate": loss_rate,
-        "mean_delivered_levels": _delivered_levels(report),
+        "mean_delivered_levels": _report_get(report, "mean_delivered_levels"),
     }
 
 

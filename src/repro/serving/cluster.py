@@ -35,11 +35,14 @@ over the requests placed on it.  Windowed batching never holds inside a
 fleet: its coalescing wait reads the node's next *pushed* arrival, and
 the coordinator pushes nothing ahead of its instant.
 
-The per-node results are :class:`~repro.serving.engine.ServingReport`
-runs; :class:`ClusterReport` aggregates them into fleet metrics
-(throughput, p50/p95/p99 latency, per-node utilisation, load imbalance).
-A single-node cluster therefore reproduces the single-engine path
-bit-for-bit.
+Each node's result is a :class:`~repro.serving.engine.ServingReport`.
+The fleet's :class:`ClusterReport` is the same report type over one
+job table — the node tables in node order, then the records the
+coordinator finalised itself — so every fleet metric has the single
+definition the engine report gives it.  The fleet report adds only the
+per-node reports, the coordinator counters, per-node placement and
+utilisation, and load imbalance.  A single-node cluster reproduces the
+single-engine path bit-for-bit.
 """
 
 from __future__ import annotations
@@ -54,17 +57,16 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Type, Un
 
 import numpy as np
 
-from ..analysis.metrics import deadline_miss_rate as _deadline_miss_rate
 from ..utils.errors import ConfigError
 from ..utils.logging import get_logger
-from ..utils.metrics import MetricsRegistry, merge_snapshots, percentile
+from ..utils.metrics import MetricsRegistry
 from .engine import (
+    _ENGINE_FIELDS,
     InterruptedJob,
     JobRecord,
     ServingEngine,
     ServingReport,
     ServingRun,
-    _json_safe,
 )
 from .faults import FaultSpec, RetryPolicy
 from .observe import ObservabilitySpec, TraceRecorder, _coerce_observe
@@ -488,18 +490,17 @@ class AdmissionController:
 # Fleet report
 # ----------------------------------------------------------------------
 @dataclass
-class ClusterReport:
-    """Aggregate fleet metrics over the per-node serving reports.
+class ClusterReport(ServingReport):
+    """The fleet's serving report: one :class:`ServingReport` over the
+    fleet's job table, plus what only a fleet has.
 
-    Node reports stay accessible verbatim (``node_reports``) — a
-    single-node cluster's node report is bit-identical to what the bare
-    engine would have produced.  Fleet latency percentiles are computed
-    over the merged completed jobs of all nodes, not averaged per node.
-
-    Like :class:`~repro.serving.engine.ServingReport`, derived scans
-    (job lists, makespan, per-node utilisation) are memoised on first
-    access: the report is written once by ``serve()`` and read many
-    times (every percentile, every ``as_dict``).
+    ``jobs`` is the node tables in node order, then ``extra_jobs`` (see
+    :meth:`ServingReport.merge`), so every metric — latency percentiles,
+    miss rate, MACs, batching and eviction counters, ``retries`` — has
+    one definition shared with a single engine's report.  Node reports
+    stay accessible verbatim (``node_reports``): a single-node cluster's
+    node report is bit-identical to what the bare engine would have
+    produced.
     """
 
     node_reports: List[ServingReport] = field(default_factory=list)
@@ -535,143 +536,15 @@ class ClusterReport:
     #: Batch sharding's parent map: original request id -> the shard ids
     #: that replaced it, in slice order.  Empty without sharding.
     shard_groups: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
-    #: Snapshot of the coordinator's metrics registry
-    #: (:class:`~repro.utils.metrics.MetricsRegistry`): the scalar
-    #: counters above are *consumed* from it, never recomputed.  Always
-    #: populated by ``serve()`` regardless of observability, so enabling
-    #: tracing cannot change the report.
-    metrics: Dict[str, Any] = field(default_factory=dict)
+    # ``metrics`` is the coordinator's registry snapshot: the scalar
+    # counters above are *consumed* from it, never recomputed.  Always
+    # populated by ``serve()`` regardless of observability, so enabling
+    # tracing cannot change the report.
 
     # ------------------------------------------------------------------
     @property
     def num_nodes(self) -> int:
         return len(self.node_reports)
-
-    @cached_property
-    def _jobs(self) -> List[JobRecord]:
-        jobs = [job for report in self.node_reports for job in report.jobs]
-        jobs.extend(self.extra_jobs)
-        return jobs
-
-    @cached_property
-    def _completed_jobs(self) -> List[JobRecord]:
-        jobs = [job for report in self.node_reports for job in report.completed_jobs]
-        jobs.extend(job for job in self.extra_jobs if job.status == "completed")
-        return jobs
-
-    @cached_property
-    def _latencies(self) -> np.ndarray:
-        values = [job.latency for job in self._completed_jobs]
-        return np.asarray([v for v in values if math.isfinite(v)], dtype=float)
-
-    @property
-    def num_jobs(self) -> int:
-        return len(self._jobs)
-
-    @property
-    def completed(self) -> int:
-        return len(self._completed_jobs)
-
-    @property
-    def dropped(self) -> int:
-        return sum(1 for job in self._jobs if job.status == "dropped")
-
-    @property
-    def retries(self) -> int:
-        """Fleet-wide retry attempts (transient step failures + failovers)."""
-        return sum(job.retries for job in self._jobs)
-
-    @property
-    def timed_out(self) -> int:
-        """Jobs the per-request watchdog finalised with a partial result."""
-        return sum(1 for job in self._jobs if job.timed_out)
-
-    @cached_property
-    def makespan(self) -> float:
-        """Fleet horizon: first arrival anywhere to last completion anywhere."""
-        if not self._jobs:
-            return 0.0
-        completed = self._completed_jobs
-        if not completed:
-            return 0.0
-        start = min(job.request.arrival_time for job in self._jobs)
-        end = max(job.completion_time for job in completed)
-        return max(end - start, 0.0)
-
-    @property
-    def throughput(self) -> float:
-        """Completed requests per second across the whole fleet."""
-        span = self.makespan
-        return self.completed / span if span > 0 else 0.0
-
-    def latency_percentile(self, q: float) -> float:
-        return percentile(self._latencies, q)
-
-    @property
-    def p50_latency(self) -> float:
-        return self.latency_percentile(50.0)
-
-    @property
-    def p95_latency(self) -> float:
-        return self.latency_percentile(95.0)
-
-    @property
-    def p99_latency(self) -> float:
-        return self.latency_percentile(99.0)
-
-    @property
-    def mean_latency(self) -> float:
-        return float(self._latencies.mean()) if self._latencies.size else float("nan")
-
-    @property
-    def deadline_miss_rate(self) -> float:
-        return _deadline_miss_rate(
-            job.deadline_met for job in self._jobs if job.request.deadline is not None
-        )
-
-    @property
-    def total_macs(self) -> float:
-        return float(sum(report.total_macs for report in self.node_reports))
-
-    # ------------------------------------------------------------------
-    # Fleet memory accounting
-    # ------------------------------------------------------------------
-    @property
-    def peak_resident_bytes(self) -> int:
-        """Largest post-event context residency any node reached."""
-        return max(
-            (report.peak_resident_bytes for report in self.node_reports), default=0
-        )
-
-    @property
-    def aux_evictions(self) -> int:
-        return sum(report.aux_evictions for report in self.node_reports)
-
-    @property
-    def cache_evictions(self) -> int:
-        return sum(report.cache_evictions for report in self.node_reports)
-
-    @property
-    def total_macs_recomputed(self) -> float:
-        """Fleet-wide MACs spent replaying evicted contexts."""
-        return float(sum(report.total_macs_recomputed for report in self.node_reports))
-
-    # ------------------------------------------------------------------
-    # Fleet batch-occupancy accounting
-    # ------------------------------------------------------------------
-    @property
-    def solo_steps(self) -> int:
-        return sum(report.solo_steps for report in self.node_reports)
-
-    @property
-    def batched_steps(self) -> int:
-        return sum(report.batched_steps for report in self.node_reports)
-
-    @property
-    def mean_batch_occupancy(self) -> float:
-        """Members per dispatch across every node's accelerator."""
-        sizes = [size for report in self.node_reports for size in report.batch_sizes]
-        return float(np.mean(sizes)) if sizes else float("nan")
 
     @cached_property
     def _node_jobs(self) -> List[int]:
@@ -723,108 +596,41 @@ class ClusterReport:
             return {}
         from .rebalance import gather_shard_logits
 
-        jobs_by_id = {job.request.request_id: job for job in self._jobs}
+        jobs_by_id = {job.request.request_id: job for job in self.jobs}
         return gather_shard_logits(jobs_by_id, self.shard_groups)
 
     def as_dict(self) -> Dict[str, Any]:
-        return {
+        """The shared metric block plus the fleet keys; engine identity
+        (backend, scheduler, ...) stays on each entry of ``nodes``."""
+        fleet = {
             "cluster": self.cluster_name,
             "router": self.router_name,
             "num_nodes": self.num_nodes,
-            "num_jobs": self.num_jobs,
-            "completed": self.completed,
-            "dropped": self.dropped,
-            "makespan": self.makespan,
-            "throughput_rps": self.throughput,
-            "p50_latency": self.p50_latency,
-            "p95_latency": self.p95_latency,
-            "p99_latency": self.p99_latency,
-            "mean_latency": self.mean_latency,
-            "deadline_miss_rate": self.deadline_miss_rate,
-            "total_macs": self.total_macs,
-            "solo_steps": self.solo_steps,
-            "batched_steps": self.batched_steps,
-            "mean_batch_occupancy": self.mean_batch_occupancy,
-            "peak_resident_bytes": self.peak_resident_bytes,
-            "aux_evictions": self.aux_evictions,
-            "cache_evictions": self.cache_evictions,
-            "total_macs_recomputed": self.total_macs_recomputed,
-            "retries": self.retries,
-            "timed_out": self.timed_out,
-            "migrations": self.migrations,
-            "failovers": self.failovers,
-            "degraded_admissions": self.degraded_admissions,
-            "rejected": self.rejected,
-            "lost": self.lost,
-            "steals": self.steals,
-            "inflight_steals": self.inflight_steals,
-            "shards": self.shards,
-            "shard_groups": {
-                str(parent): list(shards)
-                for parent, shards in sorted(self.shard_groups.items())
-            },
-            "load_imbalance": self.load_imbalance,
-            "metrics": self.metrics,
-            "node_jobs": self.node_jobs,
-            "node_utilisation": self.node_utilisation,
-            "nodes": [
-                dict(report.as_dict(), node=name, utilisation=utilisation, assigned=jobs)
-                for name, report, utilisation, jobs in zip(
-                    self.node_names, self.node_reports, self._node_utilisation, self._node_jobs
-                )
-            ],
         }
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Strict-JSON form of :meth:`as_dict`.
-
-        Numpy scalars/arrays become native types and non-finite floats
-        become ``None``, so ``json.dumps(report.to_dict())`` always
-        succeeds — the single serialisation path the benchmark scripts
-        share.
-        """
-        return _json_safe(self.as_dict())
-
-
-def _merge_incarnation_reports(reports: List[ServingReport]) -> ServingReport:
-    """Merge the reports of one node's successive run incarnations.
-
-    A node that crashes and recovers serves through several
-    :class:`~repro.serving.engine.ServingRun` instances; the fleet
-    report presents them as one node.  Job lists and batch logs
-    concatenate, counters add, the residency peak is the max, metrics
-    snapshots merge (:func:`~repro.utils.metrics.merge_snapshots`), and
-    jobs are re-sorted by request id so the merged report is
-    deterministic.
-    """
-    if len(reports) == 1:
-        return reports[0]
-    first = reports[0]
-    merged = ServingReport(
-        backend_name=first.backend_name,
-        scheduler_name=first.scheduler_name,
-        trace_name=first.trace_name,
-        batch_policy_name=first.batch_policy_name,
-        memory_budget_bytes=first.memory_budget_bytes,
-        eviction_policy_name=first.eviction_policy_name,
-    )
-    for report in reports:
-        merged.jobs.extend(report.jobs)
-        merged.batch_sizes.extend(report.batch_sizes)
-        merged.eviction_events.extend(report.eviction_events)
-        merged.refilled_jobs += report.refilled_jobs
-        merged.retries += report.retries
-        merged.aux_evictions += report.aux_evictions
-        merged.cache_evictions += report.cache_evictions
-        merged.bytes_evicted += report.bytes_evicted
-        merged.peak_resident_bytes = max(
-            merged.peak_resident_bytes, report.peak_resident_bytes
+        fleet.update(self._metric_dict())
+        fleet.update({name: getattr(self, name) for name in _COORDINATOR_COUNTERS})
+        fleet.update(
+            {
+                "shard_groups": {
+                    str(parent): list(shards)
+                    for parent, shards in sorted(self.shard_groups.items())
+                },
+                "load_imbalance": self.load_imbalance,
+                "node_jobs": self.node_jobs,
+                "node_utilisation": self.node_utilisation,
+                "nodes": [
+                    dict(report.as_dict(), node=name, utilisation=utilisation, assigned=jobs)
+                    for name, report, utilisation, jobs in zip(
+                        self.node_names,
+                        self.node_reports,
+                        self._node_utilisation,
+                        self._node_jobs,
+                    )
+                ],
+            }
         )
-    merged.metrics = merge_snapshots(
-        report.metrics for report in reports if report.metrics
-    )
-    merged.jobs.sort(key=lambda job: job.request.request_id)
-    return merged
+        return fleet
+
 
 def _publish_signals(
     recorder: TraceRecorder,
@@ -908,6 +714,9 @@ class _Coordinator:
         #: Records finalised here, not by a node: rejections, losses and
         #: best-effort checkpoint completions.
         self.extra: List[JobRecord] = []
+        #: Retries handed-off unstarted requests consumed: id -> count,
+        #: held until the request is pushed or finalised here.
+        self.carried: Dict[int, int] = {}
         self.nodes = [
             NodeState(index, name, engine, self._open_run(engine, name),
                       publish_interval=cluster.publish_interval)
@@ -970,7 +779,17 @@ class _Coordinator:
             incarnations = list(crashed)
             if not incarnations or incarnations[-1] is not node.run:
                 incarnations.append(node.run)
-            reports.append(_merge_incarnation_reports([run.finish() for run in incarnations]))
+            parts = [run.finish() for run in incarnations]
+            if len(parts) == 1:
+                reports.append(parts[0])
+                continue
+            # A node that crashed and recovered served through several
+            # runs of one engine; present them as one node, by request id.
+            merged = ServingReport.merge(
+                parts, **{name: getattr(parts[0], name) for name in _ENGINE_FIELDS.values()}
+            )
+            merged.jobs.sort(key=lambda job: job.request.request_id)
+            reports.append(merged)
         return reports, self.extra
 
     # ------------------------------------------------------------------
@@ -997,6 +816,7 @@ class _Coordinator:
             work = victim.run.steal(
                 plan[1], now, include_started=self.rebalance.steal_in_flight
             )
+            self.carried.update(work.retries)
             for request in work.unstarted:
                 self._steal(victim, request, now, inflight=False)
                 self._place(request, now, exclude=victim.index)
@@ -1018,6 +838,7 @@ class _Coordinator:
             return
         node = self.nodes[index]
         work = node.run.crash(now)
+        self.carried.update(work.retries)
         self.crashed[index].append(node.run)
         self.alive[index] = False
         # The fluid model forgets the departed work immediately: analytic
@@ -1126,7 +947,9 @@ class _Coordinator:
                 return
             node, request = admitted
         node.assign(request)
-        node.run.push(request, not_before=now)
+        node.run.push(
+            request, not_before=now, retries=self.carried.pop(request.request_id, 0)
+        )
 
     def _choose(
         self, request: Request, candidates: List[NodeState], now: float
@@ -1183,6 +1006,7 @@ class _Coordinator:
                         "admission control: minimum subnet predicted to "
                         "miss the deadline on every reachable node"
                     ),
+                    retries=self.carried.pop(request.request_id, 0),
                 )
             )
             self._emit(
@@ -1244,7 +1068,12 @@ class _Coordinator:
             return
         self.counters["lost"].add()
         self.extra.append(
-            JobRecord(request=request, status="lost", stop_reason="no serving node ever reachable")
+            JobRecord(
+                request=request,
+                status="lost",
+                stop_reason="no serving node ever reachable",
+                retries=self.carried.pop(request.request_id, 0),
+            )
         )
         self._emit(
             "finalize",
@@ -1480,7 +1309,9 @@ class ServingCluster:
         finally:
             if owned is not None:
                 owned.close()
-        return ClusterReport(
+        return ClusterReport.merge(
+            node_reports,
+            extra_jobs,
             node_reports=node_reports,
             node_names=list(self.node_names),
             router_name=self.router.name,

@@ -44,7 +44,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Type, Union
 import numpy as np
 
 from ..analysis.metrics import deadline_miss_rate as _deadline_miss_rate
-from ..utils.metrics import percentile
 from ..runtime.platform import ResourceTrace
 from ..runtime.policies import (
     PolicyState,
@@ -53,7 +52,7 @@ from ..runtime.policies import (
     softmax,
 )
 from ..utils.logging import get_logger
-from ..utils.metrics import MetricsRegistry
+from ..utils.metrics import MetricsRegistry, merge_snapshots, percentile
 from .backend import ExecutionBackend, ServingJob, StepOutcome
 from .batching import BatchPolicy, NoBatching, get_batch_policy
 from .faults import FaultInjector, RetryPolicy
@@ -189,16 +188,30 @@ def _batch_accuracy(logits: Optional[np.ndarray], labels) -> Optional[float]:
     return float((predictions == np.asarray(labels)).mean())
 
 
+#: ``as_dict`` key -> report field naming the engine a report describes.
+#: Merging one node's runs copies them; a fleet report has none (they
+#: stay on its per-node reports).
+_ENGINE_FIELDS = {
+    "backend": "backend_name",
+    "scheduler": "scheduler_name",
+    "trace": "trace_name",
+    "batch_policy": "batch_policy_name",
+    "memory_budget_bytes": "memory_budget_bytes",
+    "eviction_policy": "eviction_policy_name",
+}
+
+
 @dataclass
 class ServingReport:
-    """Aggregate serving metrics over one request stream.
+    """Aggregate serving metrics over one job table.
 
-    The derived job lists and latency vectors are computed once on first
-    access (``cached_property``), not re-scanned per metric — a report
-    over thousands of jobs is read many times (every percentile, every
-    ``as_dict``) but its ``jobs`` list is written exactly once, by
-    ``serve()``.  If ``jobs`` is mutated afterwards, call
-    :meth:`invalidate_caches`.
+    Every metric is computed here, once, over ``jobs``; a fleet's
+    :class:`~repro.serving.cluster.ClusterReport` is this same report
+    over the fleet's table (see :meth:`merge`).  The derived job lists
+    and latency vectors are computed once on first access
+    (``cached_property``), not re-scanned per metric — a report over
+    thousands of jobs is read many times (every percentile, every
+    ``as_dict``) but its ``jobs`` list is written exactly once.
     """
 
     jobs: List[JobRecord] = field(default_factory=list)
@@ -229,19 +242,41 @@ class ServingReport:
     bytes_evicted: int = 0
     #: Every eviction performed, in order (tier, victim, bytes).
     eviction_events: List[EvictionEvent] = field(default_factory=list)
-    #: Step attempts this run lost to transient faults (each one consumed
-    #: accelerator time, executed nothing, and re-queued its job under
-    #: the retry policy's backoff).
-    retries: int = 0
     #: Snapshot of the run's :class:`~repro.utils.metrics.MetricsRegistry`
     #: (counters/gauges/histograms); the scalar report fields above are
-    #: *consumed* from these counters, not recomputed.
+    #: *consumed* from these counters, not recomputed.  Its ``retries``
+    #: counter is this run's own failed step attempts.
     metrics: dict = field(default_factory=dict)
 
-    def invalidate_caches(self) -> None:
-        """Drop memoised derived lists after mutating ``jobs``."""
-        for name in ("_completed_jobs", "_dropped_jobs", "_latencies", "_first_result_latencies"):
-            self.__dict__.pop(name, None)
+    @classmethod
+    def merge(
+        cls, reports: Sequence["ServingReport"], extra_jobs: Sequence[JobRecord] = (), /, **fields
+    ):
+        """One report over the concatenated tables of ``reports``.
+
+        ``jobs``, ``batch_sizes`` and ``eviction_events`` concatenate in
+        argument order, then ``extra_jobs`` follow; the eviction and
+        refill counters add, the residency peak is the max, and the
+        metrics snapshots merge (:func:`~repro.utils.metrics.merge_snapshots`)
+        unless ``fields`` supplies ``metrics``.  ``fields`` initialise
+        the rest of the new report (``cls(**fields)``).
+        """
+        merged = cls(**fields)
+        for report in reports:
+            merged.jobs.extend(report.jobs)
+            merged.batch_sizes.extend(report.batch_sizes)
+            merged.eviction_events.extend(report.eviction_events)
+            merged.refilled_jobs += report.refilled_jobs
+            merged.aux_evictions += report.aux_evictions
+            merged.cache_evictions += report.cache_evictions
+            merged.bytes_evicted += report.bytes_evicted
+            merged.peak_resident_bytes = max(
+                merged.peak_resident_bytes, report.peak_resident_bytes
+            )
+        merged.jobs.extend(extra_jobs)
+        if "metrics" not in fields:
+            merged.metrics = merge_snapshots(report.metrics for report in reports)
+        return merged
 
     # ------------------------------------------------------------------
     @property
@@ -265,6 +300,15 @@ class ServingReport:
     @property
     def dropped_jobs(self) -> List[JobRecord]:
         return list(self._dropped_jobs)
+
+    @property
+    def completed(self) -> int:
+        """Jobs that delivered at least one result."""
+        return len(self._completed_jobs)
+
+    @property
+    def dropped(self) -> int:
+        return len(self._dropped_jobs)
 
     @property
     def makespan(self) -> float:
@@ -340,6 +384,14 @@ class ServingReport:
         return float(np.mean([job.subnet_at_deadline for job in self.jobs]))
 
     @property
+    def mean_delivered_levels(self) -> float:
+        """Subnet levels a completed job delivered, on average."""
+        completed = self._completed_jobs
+        if not completed:
+            return float("nan")
+        return sum(job.final_subnet + 1 for job in completed) / len(completed)
+
+    @property
     def mean_accuracy_at_deadline(self) -> float:
         values = [
             _batch_accuracy(job.logits_at_deadline(), job.request.labels) for job in self.jobs
@@ -411,15 +463,19 @@ class ServingReport:
         """Jobs the per-request watchdog finalised with best-so-far."""
         return sum(1 for job in self.jobs if job.timed_out)
 
-    def as_dict(self) -> Dict[str, float]:
+    @property
+    def retries(self) -> int:
+        """Retry attempts over the table: transient step failures plus
+        cross-node failovers, each counted on the job that consumed it
+        (cumulative across nodes; see :attr:`JobRecord.retries`)."""
+        return sum(job.retries for job in self.jobs)
+
+    def _metric_dict(self) -> Dict[str, object]:
+        """The metric block every report's :meth:`as_dict` shares."""
         return {
-            "backend": self.backend_name,
-            "scheduler": self.scheduler_name,
-            "trace": self.trace_name,
-            "batch_policy": self.batch_policy_name,
             "num_jobs": self.num_jobs,
-            "completed": len(self._completed_jobs),
-            "dropped": len(self._dropped_jobs),
+            "completed": self.completed,
+            "dropped": self.dropped,
             "makespan": self.makespan,
             "throughput_rps": self.throughput,
             "p50_latency": self.p50_latency,
@@ -429,6 +485,7 @@ class ServingReport:
             "mean_queueing_delay": self.mean_queueing_delay,
             "deadline_miss_rate": self.deadline_miss_rate,
             "mean_subnet_at_deadline": self.mean_subnet_at_deadline,
+            "mean_delivered_levels": self.mean_delivered_levels,
             "mean_accuracy_at_deadline": self.mean_accuracy_at_deadline,
             "total_macs": self.total_macs,
             "total_macs_reused": self.total_macs_reused,
@@ -439,8 +496,6 @@ class ServingReport:
             "mean_batch_occupancy": self.mean_batch_occupancy,
             "max_batch_occupancy": self.max_batch_occupancy,
             "refilled_jobs": self.refilled_jobs,
-            "memory_budget_bytes": self.memory_budget_bytes,
-            "eviction_policy": self.eviction_policy_name,
             "peak_resident_bytes": self.peak_resident_bytes,
             "aux_evictions": self.aux_evictions,
             "cache_evictions": self.cache_evictions,
@@ -451,6 +506,10 @@ class ServingReport:
             "timed_out": self.timed_out,
             "metrics": self.metrics,
         }
+
+    def as_dict(self) -> Dict[str, object]:
+        identity = {key: getattr(self, name) for key, name in _ENGINE_FIELDS.items()}
+        return dict(identity, **self._metric_dict())
 
     def to_dict(self) -> Dict[str, object]:
         """Strictly-JSON-safe :meth:`as_dict` (numpy scalars unwrapped,
@@ -803,6 +862,10 @@ class CrashedNodeWork:
     unstarted: List[Request]
     #: Started jobs with progress to fail over via checkpointed replay.
     interrupted: List[InterruptedJob]
+    #: Retries the unstarted requests already consumed, by request id
+    #: (absent means none) — pushed along with them so the budget is
+    #: per request, not per node.
+    retries: Dict[int, int] = field(default_factory=dict)
 
 
 class ServingRun:
@@ -902,18 +965,23 @@ class ServingRun:
         #: the steps it already served elsewhere.
         self._resume_jobs: Dict[int, ServingJob] = {}
         self._resume_steps: Dict[int, List[ServedStep]] = {}
+        #: Retries unstarted hand-offs consumed elsewhere: id -> count.
+        self._carried_retries: Dict[int, int] = {}
         self._crashed = False
 
     # ------------------------------------------------------------------
     # Feeding and observing the run
     # ------------------------------------------------------------------
-    def push(self, request: Request, not_before: Optional[float] = None) -> None:
+    def push(
+        self, request: Request, not_before: Optional[float] = None, retries: int = 0
+    ) -> None:
         """Queue a request for admission at its arrival time.
 
         ``not_before`` floors the admission instant: a request rerouted
         to this node at coordinator time ``t`` (its first target was
         partitioned or crashed) must not start earlier than ``t`` even
-        when this node's clock still lags behind.
+        when this node's clock still lags behind.  ``retries`` is what
+        a handed-off request already consumed on other nodes.
         """
         if self._report is not None:
             raise RuntimeError("run already finished; open a new one")
@@ -924,6 +992,8 @@ class ServingRun:
                 f"request_id {request.request_id} already pushed into this run"
             )
         self._ids.add(request.request_id)
+        if retries:
+            self._carried_retries[request.request_id] = retries
         when = request.arrival_time
         if not_before is not None:
             when = max(when, not_before)
@@ -1103,7 +1173,6 @@ class ServingRun:
         # Scalar counters are *consumed* from the metrics registry — the
         # registry is the single writer, the report a snapshot reader.
         report.refilled_jobs = self._m_refills.value
-        report.retries = self._m_retries.value
         report.memory_budget_bytes = self.memory.budget_bytes
         report.eviction_policy_name = self.memory.policy.name
         report.peak_resident_bytes = self.memory.peak_resident_bytes
@@ -1128,7 +1197,9 @@ class ServingRun:
             job = self._resume_jobs.pop(request_id, None)
             if job is None:
                 job = ServingJob(
-                    request=request, session=engine.backend.open(request.inputs)
+                    request=request,
+                    session=engine.backend.open(request.inputs),
+                    retries=self._carried_retries.pop(request_id, 0),
                 )
             record = JobRecord(
                 request=request, steps=self._resume_steps.pop(request_id, [])
@@ -1289,6 +1360,7 @@ class ServingRun:
         self._crashed = True
         unstarted: List[Request] = []
         interrupted: List[InterruptedJob] = []
+        carried: Dict[int, int] = {}
         live = list(self.scheduler.jobs()) + list(self._delayed_jobs.values())
         for job in live:
             request_id = job.request.request_id
@@ -1305,6 +1377,8 @@ class ServingRun:
                 )
             else:
                 unstarted.append(job.request)
+                if job.retries:
+                    carried[request_id] = job.retries
             self.scheduler.discard(job)
             if self.memory.budget_bytes is None:
                 self._resident_total -= self._resident_sizes.pop(request_id, 0)
@@ -1332,6 +1406,8 @@ class ServingRun:
                 job.session.close()
             else:
                 unstarted.append(request)
+                if request_id in self._carried_retries:
+                    carried[request_id] = self._carried_retries.pop(request_id)
             self._ids.discard(request_id)
         _LOG.warning(
             "node '%s' crashed at t=%.6f (%d unstarted migrate, %d in-flight fail over)",
@@ -1350,7 +1426,7 @@ class ServingRun:
             )
             if self._obs.plan_timer is not None:
                 self.engine.backend.detach_plan_timer()
-        return CrashedNodeWork(unstarted=unstarted, interrupted=interrupted)
+        return CrashedNodeWork(unstarted, interrupted, carried)
 
     def steal(
         self, count: int, now: float, include_started: bool = False
@@ -1393,6 +1469,7 @@ class ServingRun:
             victims.extend(inflight[: count - len(victims)])
         unstarted: List[Request] = []
         interrupted: List[InterruptedJob] = []
+        carried: Dict[int, int] = {}
         for job in victims:
             request_id = job.request.request_id
             record = self._records.pop(request_id)
@@ -1408,6 +1485,8 @@ class ServingRun:
                 )
             else:
                 unstarted.append(job.request)
+                if job.retries:
+                    carried[request_id] = job.retries
             self.scheduler.discard(job)
             self._delayed_jobs.pop(request_id, None)
             if self.memory.budget_bytes is None:
@@ -1422,7 +1501,7 @@ class ServingRun:
                 len(interrupted),
                 now,
             )
-        return CrashedNodeWork(unstarted=unstarted, interrupted=interrupted)
+        return CrashedNodeWork(unstarted, interrupted, carried)
 
     def _batch_candidates(self, winner: ServingJob) -> List[ServingJob]:
         """Ready jobs that could share the winner's step, winner first.

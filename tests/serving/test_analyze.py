@@ -338,6 +338,13 @@ class TestSLOSpec:
             assert card.ok
             assert card.failed == []
             assert {row["objective"] for row in card.objectives} == set(slo.targets())
+        # The summary does not depend on the input's form, for a fleet
+        # report or a node report alike.
+        for target in (report, report.node_reports[0]):
+            summary = evaluate_slo(slo, target).summary
+            assert summary == evaluate_slo(slo, target.as_dict()).summary
+            assert summary["completed"] == target.completed > 0
+            assert summary["mean_delivered_levels"] == target.mean_delivered_levels >= 1.0
         with_events = evaluate_slo(slo, report, events=events)
         assert with_events.decomposition is not None
         assert with_events.decomposition["num_requests"] > 0

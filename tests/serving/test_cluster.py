@@ -11,13 +11,16 @@ from repro.runtime.platform import ResourceTrace
 from repro.serving import (
     ROUTERS,
     BatchedSteppingBackend,
+    ClusterReport,
     ClusterSpec,
+    JobRecord,
     JoinShortestQueueRouter,
     LeastLoadedRouter,
     Request,
     RoundRobinRouter,
     ServingCluster,
     ServingEngine,
+    ServingReport,
     ServingSpec,
     SteppingBackend,
     StreamSpec,
@@ -282,6 +285,58 @@ class TestClusterReport:
         assert report.load_imbalance == pytest.approx(1.0)  # round-robin on 10 = 5/5
         # The slow node works the same MACs at a quarter of the rate.
         assert report.node_utilisation[1] > report.node_utilisation[0]
+
+    def test_fleet_report_is_the_merged_node_tables(
+        self, stepping_network, sample_pool, calibrated_rate
+    ):
+        """The fleet report is ServingReport.merge over the node reports:
+        node-major table, summed counters, the same metric block."""
+        report = self._report(stepping_network, sample_pool, calibrated_rate)
+        fast, slow = report.node_reports
+        assert isinstance(report, ServingReport)
+        assert report.jobs == fast.jobs + slow.jobs
+        assert report.batch_sizes == fast.batch_sizes + slow.batch_sizes
+        merged = ServingReport.merge(report.node_reports, report.extra_jobs)
+        fleet, expected = report.as_dict(), merged.as_dict()
+        identity = ("backend", "scheduler", "trace", "batch_policy", "memory_budget_bytes",
+                    "eviction_policy")
+        for key in ("metrics",) + identity:
+            expected.pop(key)
+        assert {key: fleet[key] for key in expected} == expected
+        # Engine identity stays on the nodes, not on the fleet.
+        assert not set(identity) & set(fleet)
+        assert {node["backend"] for node in fleet["nodes"]} == {"steppingnet"}
+
+    def test_merge_concatenates_in_argument_order(
+        self, stepping_network, sample_pool, calibrated_rate
+    ):
+        images, labels = sample_pool
+        requests = _requests(images, labels, count=6, rate=3.0)
+        first = _engine(stepping_network, calibrated_rate).serve(requests[:3])
+        second = _engine(stepping_network, calibrated_rate).serve(requests[3:])
+        extra = [JobRecord(request=requests[0], status="lost")]
+        merged = ServingReport.merge([second, first], extra, backend_name="joined")
+        assert merged.jobs == second.jobs + first.jobs + extra
+        assert merged.batch_sizes == second.batch_sizes + first.batch_sizes
+        assert merged.backend_name == "joined"
+        assert merged.peak_resident_bytes == max(
+            first.peak_resident_bytes, second.peak_resident_bytes
+        )
+        counters = merged.metrics["counters"]
+        assert counters["dispatches"] == (
+            first.metrics["counters"]["dispatches"] + second.metrics["counters"]["dispatches"]
+        )
+        assert merged.completed == 6 and merged.num_jobs == 7
+
+    def test_fleet_defines_no_metric_of_its_own(self):
+        """Every ServingReport metric has one definition, inherited."""
+        derived = {
+            name
+            for name, value in vars(ClusterReport).items()
+            if isinstance(value, (property, functools.cached_property))
+        }
+        assert derived
+        assert not derived & set(dir(ServingReport))
 
     def test_empty_fleet_report(self, stepping_network, calibrated_rate):
         cluster = ServingCluster([_engine(stepping_network, calibrated_rate)])

@@ -11,6 +11,7 @@ availability, never answers.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,9 +304,9 @@ class TestClusterFailover:
         assert report.migrations > 0 and report.failovers > 0
         assert report.retries >= report.failovers
         # Each request has exactly one record fleet-wide.
-        ids = sorted(job.request.request_id for job in report._jobs)
+        ids = sorted(job.request.request_id for job in report.jobs)
         assert ids == list(range(10))
-        _assert_jobs_bit_equal_to_oracle(stepping_network, report._jobs)
+        _assert_jobs_bit_equal_to_oracle(stepping_network, report.jobs)
         # Failover replay is charged honestly and exactly.
         assert report.total_macs_recomputed > 0
         assert report.total_macs - report.total_macs_recomputed == pytest.approx(
@@ -325,7 +326,7 @@ class TestClusterFailover:
             _requests(images, count=3, gap=0.0)
         )
         assert report.num_jobs == 3
-        jobs = {job.request.request_id: job for job in report._jobs}
+        jobs = {job.request.request_id: job for job in report.jobs}
         # The in-flight job keeps its best-so-far anytime prediction.
         started = jobs[0]
         assert started.status == "completed"
@@ -334,7 +335,7 @@ class TestClusterFailover:
         # Queued-but-unstarted requests are lost: no node ever comes back.
         assert report.lost == 2
         assert all(jobs[i].status == "lost" for i in (1, 2))
-        _assert_jobs_bit_equal_to_oracle(stepping_network, report._jobs)
+        _assert_jobs_bit_equal_to_oracle(stepping_network, report.jobs)
 
     def test_recovered_node_serves_again(self, stepping_network, sample_pool):
         images, _ = sample_pool
@@ -349,7 +350,7 @@ class TestClusterFailover:
         assert any(
             job.request.arrival_time > 0.4 for job in report.node_reports[1].jobs
         )
-        _assert_jobs_bit_equal_to_oracle(stepping_network, report._jobs)
+        _assert_jobs_bit_equal_to_oracle(stepping_network, report.jobs)
 
     def test_partitioned_node_receives_no_new_work(
         self, stepping_network, sample_pool
@@ -378,7 +379,7 @@ class TestClusterFailover:
         assert report.as_dict()["completed"] == 4
         assert report.lost == 0
         # Nothing could start before the partitions healed.
-        starts = [job.steps[0].start_time for job in report._jobs]
+        starts = [job.steps[0].start_time for job in report.jobs]
         assert min(starts) >= 0.5
 
     def test_fault_tolerant_serve_is_deterministic(
@@ -440,13 +441,13 @@ class TestRetryDeadlineClamp:
             ).serve(self._deadlined(images, 0.3), recorder=recorder)
         finally:
             recorder.close()
-        job = report._jobs[0]
+        job = report.jobs[0]
         assert job.status == "completed"
         assert job.stop_reason == "deadline reached during failover backoff"
         assert job.steps  # best-so-far anytime answer, not a drop
         finalizes = [e for e in recorder.events if e["type"] == "finalize"]
         assert finalizes and all(float(e["time"]) < 0.3 for e in finalizes)
-        _assert_jobs_bit_equal_to_oracle(stepping_network, report._jobs)
+        _assert_jobs_bit_equal_to_oracle(stepping_network, report.jobs)
 
     def test_reachability_horizon_past_deadline_finalises_immediately(
         self, stepping_network, sample_pool
@@ -465,7 +466,7 @@ class TestRetryDeadlineClamp:
         report = _cluster(
             stepping_network, faults=faults, enforce_deadline=True
         ).serve(self._deadlined(images, 0.3))
-        job = report._jobs[0]
+        job = report.jobs[0]
         assert job.status == "completed"
         assert job.stop_reason == "deadline reached before any node is reachable"
         assert job.steps
@@ -483,7 +484,7 @@ class TestRetryDeadlineClamp:
         report = _cluster(stepping_network, faults=faults).serve(
             self._deadlined(images, 0.3)
         )
-        job = report._jobs[0]
+        job = report.jobs[0]
         assert job.status == "completed"
         assert job.retries > 0
         assert job.final_subnet == stepping_network.num_subnets - 1
@@ -534,9 +535,9 @@ class TestRetryDeadlineClamp:
             ]
             assert later == []
         # One record per request survives the chaos, as ever.
-        ids = sorted(job.request.request_id for job in report._jobs)
+        ids = sorted(job.request.request_id for job in report.jobs)
         assert ids == list(range(12))
-        _assert_jobs_bit_equal_to_oracle(stepping_network, report._jobs)
+        _assert_jobs_bit_equal_to_oracle(stepping_network, report.jobs)
 
 
 # ----------------------------------------------------------------------
@@ -557,7 +558,7 @@ class TestAdmissionControl:
         assert report.degraded_admissions == 3
         assert report.rejected == 0
         assert report.as_dict()["completed"] == 3
-        for job in report._jobs:
+        for job in report.jobs:
             assert job.final_subnet < stepping_network.num_subnets - 1
             assert "admission-capped" in job.stop_reason
 
@@ -572,8 +573,8 @@ class TestAdmissionControl:
         ).serve(requests)
         assert report.rejected == 2
         assert report.num_jobs == 2  # rejected arrivals still get records
-        assert all(job.status == "rejected" for job in report._jobs)
-        assert all("admission control" in job.stop_reason for job in report._jobs)
+        assert all(job.status == "rejected" for job in report.jobs)
+        assert all("admission control" in job.stop_reason for job in report.jobs)
 
     def test_memory_pressure_caps_to_minimum_subnet(
         self, stepping_network, sample_pool
@@ -590,12 +591,12 @@ class TestAdmissionControl:
         ).serve(_requests(images, count=2, gap=0.0))
         assert report.degraded_admissions == 1
         capped = [
-            job for job in report._jobs
+            job for job in report.jobs
             if job.request.max_subnet == 0 and job.status == "completed"
         ]
         assert len(capped) == 1
         assert capped[0].final_subnet == 0
-        _assert_jobs_bit_equal_to_oracle(stepping_network, report._jobs)
+        _assert_jobs_bit_equal_to_oracle(stepping_network, report.jobs)
 
 
 # ----------------------------------------------------------------------
@@ -668,6 +669,85 @@ class TestClusterSpecFaults:
 
 
 # ----------------------------------------------------------------------
+# Fleet accounting: one job table, retries carried across nodes
+# ----------------------------------------------------------------------
+CONFIG_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / "configs"
+
+
+def _faults_fleet(events, nodes=None, **overrides):
+    """``cluster_faults.json`` with its fault events replaced, optionally
+    only some of its nodes, and top-level keys overridden."""
+    data = dict(json.loads((CONFIG_DIR / "cluster_faults.json").read_text()), **overrides)
+    data["faults"]["events"] = events
+    if nodes is not None:
+        data["nodes"] = [node for node in data["nodes"] if node["name"] in nodes]
+    return ServingCluster.from_spec(ClusterSpec.from_dict(data))
+
+
+class TestFleetAccounting:
+    def test_unstarted_hand_off_keeps_its_retries(self):
+        """A job that failed a step and never started migrates with its
+        retry count: the budget is per request, not per node."""
+        cluster = _faults_fleet(
+            [
+                {"kind": "transient", "node": "soc-a", "time": 0.0},
+                {"kind": "crash", "node": "soc-a", "time": 0.0005},
+            ],
+            nodes=("soc-a", "soc-b"),
+            router="round-robin",
+        )
+        shape = cluster.engines[0].backend.network.spec.input_shape
+        inputs = np.random.default_rng(0).standard_normal((1, *shape)).astype(np.float32)
+        report = cluster.serve([Request(request_id=0, arrival_time=0.0, inputs=inputs)])
+        soc_a, soc_b = report.node_reports
+        assert soc_a.metrics["counters"]["retries"] == 1
+        assert report.migrations == 1
+        assert [job.retries for job in soc_b.jobs] == [1]
+        assert report.retries == soc_b.retries == 1
+
+    @pytest.mark.parametrize("seed", [16, 17, 18, 19, 20])
+    def test_fleet_retries_cover_every_failed_step(self, seed):
+        """Under transient-heavy chaos with crashes and stealing, every
+        step a node failed stays counted on its job, wherever it ends."""
+        horizon, count = 0.15, 120
+        rng = np.random.default_rng(seed)
+        faults = FaultSpec.random(
+            ["soc-a", "soc-b", "ecu-c"], horizon=horizon, seed=seed, recover_fraction=1.0,
+            crash_rate=6.0, transient_rate=40.0, slowdown_rate=4.0, partition_rate=6.0,
+        )
+        cluster = _faults_fleet(
+            faults.to_dict()["events"],
+            rebalance={"enabled": True, "interval": 5e-4, "steal_in_flight": True},
+        )
+        shape = cluster.engines[0].backend.network.spec.input_shape
+        inputs = rng.standard_normal((count, 1, *shape)).astype(np.float32)
+        arrivals = np.sort(rng.uniform(0.0, horizon, count))
+        report = cluster.serve(
+            [
+                Request(index, float(at), inputs[index], deadline=float(at) + 0.05)
+                for index, at in enumerate(arrivals)
+            ]
+        )
+        failed_steps = sum(node.metrics["counters"]["retries"] for node in report.node_reports)
+        assert failed_steps > 0
+        assert report.retries >= failed_steps
+
+    def test_total_macs_counts_best_effort_completions(self):
+        """Every terminal record charges its MACs to the fleet total,
+        including the coordinator's best-effort completions."""
+        cluster = _faults_fleet(
+            [{"kind": "crash", "node": name, "time": 0.002} for name in ("soc-a", "soc-b", "ecu-c")]
+        )
+        report = cluster.serve()
+        best_effort = [job for job in report.extra_jobs if job.steps]
+        assert best_effort and all(job.status == "completed" for job in best_effort)
+        table = [job for node in report.node_reports for job in node.jobs] + report.extra_jobs
+        assert report.jobs == table
+        assert report.total_macs == sum(job.total_macs_charged for job in table)
+        assert report.total_macs > sum(node.total_macs for node in report.node_reports)
+
+
+# ----------------------------------------------------------------------
 # Chaos fuzz: seeded fault schedules x serving modes
 # ----------------------------------------------------------------------
 def _chaos_cluster(network, mode, faults):
@@ -736,7 +816,7 @@ class TestChaosFuzz:
         report = _chaos_cluster(stepping_network, mode, faults).serve(requests)
 
         # Exactly one record per request, fleet-wide.
-        ids = sorted(job.request.request_id for job in report._jobs)
+        ids = sorted(job.request.request_id for job in report.jobs)
         assert ids == list(range(18))
         # spare_first leaves n0 alive throughout, and partitions always
         # heal: nothing may be lost outright.
@@ -744,7 +824,7 @@ class TestChaosFuzz:
         # Every completed request — including best-effort failover
         # finalisations — is bit-identical to solo incremental inference
         # over its executed level sequence, at every step.
-        _assert_jobs_bit_equal_to_oracle(stepping_network, report._jobs)
+        _assert_jobs_bit_equal_to_oracle(stepping_network, report.jobs)
         # Two serves of the same schedule agree exactly.
         again = _chaos_cluster(stepping_network, mode, faults).serve(
             _requests(images, count=18, gap=0.04)
@@ -769,7 +849,7 @@ class TestChaosFuzz:
             for level in range(1, stepping_network.num_subnets)
         ]
         expected = sum(
-            per_level[step.subnet] for job in report._jobs for step in job.steps
+            per_level[step.subnet] for job in report.jobs for step in job.steps
         )
         assert report.total_macs - report.total_macs_recomputed == pytest.approx(
             expected
