@@ -138,6 +138,8 @@ INVARIANTS = {
         ("degradation.*.completed", "ge", 1),
         ("chaos_config.completed", "ge", 1),
         ("chaos_config.deadline_miss_rate", "le", 1.0),
+        ("smoke.degradation.*.bit_equal_to_oracle", "true"),
+        ("smoke.degradation.*.lost", "eq", 0),
     ],
     "BENCH_serving.json": [
         ("summary.completed", "ge", 1),
@@ -201,6 +203,7 @@ CUSTOM_INVARIANTS = {
 EXACT_SECTIONS = {
     "BENCH_sweep.json": ["smoke"],
     "BENCH_steal.json": ["smoke", "sharding"],
+    "BENCH_faults.json": ["smoke"],
 }
 
 

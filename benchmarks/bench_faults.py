@@ -19,7 +19,12 @@ one (3 -> 2 -> 1 survivors) and measures the degradation curve:
 A second section serves the checked-in chaos config
 (``configs/cluster_faults.json``: crash + recovery + partition +
 transients + slowdown under degrade-mode admission) end to end, as the
-CI chaos-smoke job.  Like the other benches this is a plain script::
+CI chaos-smoke job.  A third, ``smoke``, is always written: the
+smoke-scale degradation curve (its crashes migrate queued work and fail
+in-flight work over) without the wall-clock fields — deterministic
+simulated time that ``bench_check.py --fresh`` compares exactly against
+the checked-in baseline.  Like the other benches this is a plain
+script::
 
     PYTHONPATH=src python benchmarks/bench_faults.py --smoke
 
@@ -60,6 +65,9 @@ NUM_SUBNETS = 4
 NUM_NODES = 3
 SECONDS_FOR_LARGEST = 0.04  # simulated full-quality service time per request
 UTILIZATION = 2.0  # per-fleet oversubscription: queues build, deadlines bind
+#: (width_scale, num_requests) of the full and the smoke-scale curve.
+FULL_SCALE = (1.0, 180)
+SMOKE_SCALE = (0.5, 60)
 
 
 def build_network(width_scale: float):
@@ -175,15 +183,8 @@ def row_from_report(report, network, num_requests: int, wall: float) -> dict:
     return row
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke", action="store_true", help="tiny configuration for CI smoke runs"
-    )
-    parser.add_argument("--out", type=Path, default=DEFAULT_OUT, help="JSON output path")
-    args = parser.parse_args()
-
-    width_scale, num_requests = (0.5, 60) if args.smoke else (1.0, 180)
+def run_degradation(width_scale: float, num_requests: int):
+    """Serve the cumulative crash schedules; returns (config, rows by label)."""
     network = build_network(width_scale)
     requests, horizon = build_workload(network, num_requests)
 
@@ -201,23 +202,17 @@ def main() -> None:
         ),
     ]
     retry = RetryPolicy(base_delay=0.002, max_delay=0.02, max_retries=5)
-
-    results = {
-        "config": {
-            "model": "tiny-cnn",
-            "width_scale": width_scale,
-            "num_subnets": NUM_SUBNETS,
-            "num_nodes": NUM_NODES,
-            "num_requests": num_requests,
-            "utilization": UTILIZATION,
-            "seconds_for_largest": SECONDS_FOR_LARGEST,
-            "relative_deadline": 2.5 * SECONDS_FOR_LARGEST,
-            "smoke": bool(args.smoke),
-        },
-        "degradation": {},
-        "chaos_config": {},
+    config = {
+        "model": "tiny-cnn",
+        "width_scale": width_scale,
+        "num_subnets": NUM_SUBNETS,
+        "num_nodes": NUM_NODES,
+        "num_requests": num_requests,
+        "utilization": UTILIZATION,
+        "seconds_for_largest": SECONDS_FOR_LARGEST,
+        "relative_deadline": 2.5 * SECONDS_FOR_LARGEST,
     }
-
+    rows = {}
     for label, crashes in crash_points:
         faults = FaultSpec(events=crashes, retry=retry) if crashes else None
         cluster = build_cluster(network, faults)
@@ -225,7 +220,7 @@ def main() -> None:
         report = cluster.serve(requests)
         wall = time.perf_counter() - start
         row = row_from_report(report, network, num_requests, wall)
-        results["degradation"][label] = row
+        rows[label] = row
         print(
             f"{label:>8s}: delivered {row['mean_delivered_levels']:.2f} levels, "
             f"miss {row['deadline_miss_rate']:6.2%}, "
@@ -234,7 +229,7 @@ def main() -> None:
             f"({'bit-equal' if row['bit_equal_to_oracle'] else 'MISMATCH'})"
         )
 
-    curve = [results["degradation"][label] for label, _ in crash_points]
+    curve = list(rows.values())
     assert all(row["bit_equal_to_oracle"] for row in curve), "faults changed answers"
     assert all(row["lost"] == 0 for row in curve), "requests lost with a survivor up"
     assert all(row["num_jobs"] == num_requests for row in curve), "records went missing"
@@ -250,6 +245,37 @@ def main() -> None:
     assert curve[-1]["failovers"] > 0 or curve[-1]["migrations"] > 0, (
         "crashes never exercised failover"
     )
+    return config, rows
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument(
+        "--smoke", action="store_true", help="tiny configuration for CI smoke runs"
+    )
+    parser.add_argument("--out", type=Path, default=DEFAULT_OUT, help="JSON output path")
+    args = parser.parse_args()
+
+    # The smoke-scale curve is always served: with its wall-clock fields
+    # left out it is a deterministic simulated-time section that
+    # bench_check.py compares exactly against the checked-in baseline.
+    smoke_config, smoke_rows = run_degradation(*SMOKE_SCALE)
+    if args.smoke:
+        config, rows = smoke_config, smoke_rows
+    else:
+        config, rows = run_degradation(*FULL_SCALE)
+    results = {
+        "config": dict(config, smoke=bool(args.smoke)),
+        "degradation": rows,
+        "chaos_config": {},
+        "smoke": {
+            "config": smoke_config,
+            "degradation": {
+                label: {key: value for key, value in row.items() if key != "wall_seconds"}
+                for label, row in smoke_rows.items()
+            },
+        },
+    }
 
     # ------------------------------------------------------------------
     # The checked-in chaos config, end to end (the CI smoke artefact).

@@ -32,7 +32,9 @@ configs.
   logits to unbounded serving;
 * :mod:`repro.serving.engine` — the discrete-event
   :class:`ServingEngine`, its resumable :class:`ServingRun` event loop
-  and the one report type, :class:`ServingReport`: every metric
+  (work enters and leaves a run as one :class:`Handoff` record: a
+  request, its executed-level history and its retries so far), and
+  the one report type, :class:`ServingReport`: every metric
   (throughput, p50/p95/p99 latency, deadline-miss rate, subnet level at
   the deadline, batch occupancy, eviction/recompute accounting,
   ``retries`` — the retry attempts its jobs consumed, across nodes)
@@ -140,7 +142,7 @@ from .cluster import (
     get_router,
     serve,
 )
-from .engine import JobRecord, ServedStep, ServingEngine, ServingReport, ServingRun
+from .engine import Handoff, JobRecord, ServedStep, ServingEngine, ServingReport, ServingRun
 from .faults import (
     FAULT_KINDS,
     RETRY_KINDS,
@@ -232,6 +234,7 @@ __all__ = [
     "get_batch_policy",
     "ServingEngine",
     "ServingRun",
+    "Handoff",
     "ServingReport",
     "JobRecord",
     "ServedStep",

@@ -22,6 +22,18 @@ at ``t`` therefore run on the next advance, after the whole burst of
 simultaneous arrivals has landed: no node decides on anything it could
 not know at that instant, and none decides before it could know it.
 
+Work enters and leaves a node through one record,
+:class:`~repro.serving.engine.Handoff`: the request plus its
+executed-level history, served steps, best-so-far logits and retries.
+An arrival is a hand-off with an empty history; a crash or a steal
+hands live work back as a list of them; every placement event carries
+one, and :meth:`~repro.serving.engine.ServingRun.push` takes it.  The
+coordinator branches on ``handoff.started`` only where the semantics
+differ: admission control applies to unstarted work; failover backoff,
+the subnet-coverage filter and best-effort finalisation apply to
+started work, which replays its history on the destination
+bit-for-bit.
+
 A router reads two kinds of load signal (:class:`NodeState`): live ones
 measured on the node's run as of its last step boundary — scheduler
 depth, resident context bytes, entry-edge depth, stale by at most the
@@ -62,7 +74,7 @@ from ..utils.logging import get_logger
 from ..utils.metrics import MetricsRegistry
 from .engine import (
     _ENGINE_FIELDS,
-    InterruptedJob,
+    Handoff,
     JobRecord,
     ServingEngine,
     ServingReport,
@@ -71,7 +83,7 @@ from .engine import (
 from .faults import FaultSpec, RetryPolicy
 from .observe import ObservabilitySpec, TraceRecorder, _coerce_observe
 from .request import Request
-from .spec import ClusterSpec
+from .spec import ClusterSpec, _check_publish_interval
 
 _LOG = get_logger("repro.serving")
 
@@ -212,8 +224,9 @@ class NodeState:
     def assign(self, request: Request) -> None:
         """Record a placement and roll the fluid load model forward.
 
-        The coordinator pushes the request into the live run itself
-        (failed-over jobs enter via ``push_resumed``, not ``push``).
+        The coordinator pushes the work into the live run itself, as
+        one :class:`~repro.serving.engine.Handoff` whether it is a fresh
+        arrival, a migration, a steal or a failover.
         """
         finish = self.predicted_finish(self.expected_macs, request.arrival_time)
         self.assigned.append(request)
@@ -679,16 +692,21 @@ class _Coordinator:
     placements read the node state of that instant and dispatches at
     ``t`` see every request placed at ``t``.
 
-    Crash semantics: the dying run hands back its queued-but-unstarted
-    requests (migrated immediately, charged nothing) and its in-flight
-    jobs as subnet-level checkpoints.  A checkpoint re-enters a
-    surviving node through the eviction replay path
-    (:meth:`ServingRun.push_resumed`) after its capped exponential
-    backoff — the replay restores the activation state bit-for-bit and
-    charges the recompute MACs honestly.  When the retry budget or the
-    deadline runs out, the checkpoint is finalised with its best-so-far
-    anytime prediction instead of being lost: partial answers are the
-    whole point of stepping inference.
+    Work moves as one record, :class:`~repro.serving.engine.Handoff`:
+    every placement event carries one, an arrival is a hand-off with an
+    empty history, and a crash or steal returns a list of them.  The
+    record carries the retries already consumed, so the per-request
+    retry budget survives any number of moves.  Crash semantics: the
+    dying run's unstarted hand-offs migrate immediately (charged
+    nothing), before its started ones.  A started hand-off is a
+    subnet-level checkpoint; it re-enters a surviving node through
+    :meth:`ServingRun.push` after its capped exponential backoff, and
+    the node replays its history the way an evicted context resumes —
+    restoring the activation state bit-for-bit and charging the
+    recompute MACs honestly.  When the retry budget or the deadline
+    runs out, the checkpoint is finalised with its best-so-far anytime
+    prediction instead of being lost: partial answers are the whole
+    point of stepping inference.
     """
 
     def __init__(
@@ -714,9 +732,6 @@ class _Coordinator:
         #: Records finalised here, not by a node: rejections, losses and
         #: best-effort checkpoint completions.
         self.extra: List[JobRecord] = []
-        #: Retries handed-off unstarted requests consumed: id -> count,
-        #: held until the request is pushed or finalised here.
-        self.carried: Dict[int, int] = {}
         self.nodes = [
             NodeState(index, name, engine, self._open_run(engine, name),
                       publish_interval=cluster.publish_interval)
@@ -758,7 +773,7 @@ class _Coordinator:
                 for time, kind in self.injector.transitions(node.name):
                     self._push_event(time, kind, node.index)
         for request in sorted(requests, key=lambda r: (r.arrival_time, r.request_id)):
-            self._push_event(request.arrival_time, "arrival", request)
+            self._push_event(request.arrival_time, "place", Handoff(request))
         if self.rebalance is not None and requests:
             first_arrival = min(request.arrival_time for request in requests)
             self._push_event(first_arrival + self.tick, "rebalance", None)
@@ -795,13 +810,9 @@ class _Coordinator:
     # ------------------------------------------------------------------
     # Event handlers
     # ------------------------------------------------------------------
-    def _on_arrival(self, request: Request, now: float) -> None:
-        self._place(request, now)
-
-    _on_reroute = _on_arrival
-
-    def _on_retry(self, checkpoint: InterruptedJob, now: float) -> None:
-        self._place(checkpoint.request, now, checkpoint=checkpoint)
+    def _on_place(self, handoff: Handoff, now: float) -> None:
+        """An arrival, a reroute or a failover retry: place the work."""
+        self._place(handoff, now)
 
     def _on_rebalance(self, _payload: Any, now: float) -> None:
         """Evaluate the steal trigger on published depths; move work."""
@@ -813,18 +824,11 @@ class _Coordinator:
             plan = steal_plan([node.published_depth(now) for node in ready], self.rebalance)
         if plan is not None:
             victim = ready[plan[0]]
-            work = victim.run.steal(
+            for handoff in victim.run.steal(
                 plan[1], now, include_started=self.rebalance.steal_in_flight
-            )
-            self.carried.update(work.retries)
-            for request in work.unstarted:
-                self._steal(victim, request, now, inflight=False)
-                self._place(request, now, exclude=victim.index)
-            for checkpoint in work.interrupted:
-                self._steal(victim, checkpoint.request, now, inflight=True)
-                self._place(
-                    checkpoint.request, now, checkpoint=checkpoint, exclude=victim.index
-                )
+            ):
+                self._steal(victim, handoff, now)
+                self._place(handoff, now, exclude=victim.index)
         # Re-arm while any work remains anywhere; the last tick dies with
         # the fleet drained, ending the event loop.
         if self.events or any(
@@ -837,33 +841,33 @@ class _Coordinator:
         if not self.alive[index]:
             return
         node = self.nodes[index]
-        work = node.run.crash(now)
-        self.carried.update(work.retries)
+        # Unstarted work migrates before started work fails over; each
+        # keeps the order the run handed it back in (a stable sort).
+        handoffs = sorted(node.run.crash(now), key=lambda handoff: handoff.started)
         self.crashed[index].append(node.run)
         self.alive[index] = False
         # The fluid model forgets the departed work immediately: analytic
         # routing signals must not keep charging a dead node for jobs the
         # survivors are about to take.
-        for request in work.unstarted:
-            node.retract(request.request_id)
-        for checkpoint in work.interrupted:
-            node.retract(checkpoint.request.request_id)
-        for request in work.unstarted:
-            self.counters["migrations"].add()
-            self._emit("migrate", now, node, request_id=request.request_id)
-            self._place(request, now)
-        for checkpoint in work.interrupted:
-            if checkpoint.retries >= self.retry.budget:
-                self._best_effort(checkpoint, "retry budget exhausted at node failure", now)
+        for handoff in handoffs:
+            node.retract(handoff.request.request_id)
+        for handoff in handoffs:
+            if not handoff.started:
+                self.counters["migrations"].add()
+                self._emit("migrate", now, node, request_id=handoff.request.request_id)
+                self._place(handoff, now)
                 continue
-            delay = self.retry.backoff(checkpoint.retries)
-            checkpoint.retries += 1
+            if handoff.retries >= self.retry.budget:
+                self._best_effort(handoff, "retry budget exhausted at node failure", now)
+                continue
+            delay = self.retry.backoff(handoff.retries)
+            handoff.retries += 1
             retry_at = now + delay
-            if self._past_deadline(checkpoint, retry_at):
-                self._best_effort(checkpoint, "deadline reached during failover backoff", now)
+            if self._past_deadline(handoff, retry_at):
+                self._best_effort(handoff, "deadline reached during failover backoff", now)
                 continue
             self.counters["failovers"].add()
-            self._push_event(retry_at, "retry", checkpoint)
+            self._push_event(retry_at, "place", handoff)
 
     def _on_recover(self, index: int, now: float) -> None:
         if self.alive[index]:
@@ -884,32 +888,28 @@ class _Coordinator:
             if alive and (self.injector is None or self.injector.reachable(node.name, now))
         ]
 
-    def _past_deadline(self, checkpoint: InterruptedJob, when: float) -> bool:
+    def _past_deadline(self, handoff: Handoff, when: float) -> bool:
         """Whether a retry at ``when`` could only be discovered dead."""
-        deadline = checkpoint.request.deadline
+        deadline = handoff.request.deadline
         return self.enforce and deadline is not None and when >= deadline
 
-    def _steal(self, victim: NodeState, request: Request, now: float, inflight: bool) -> None:
-        victim.retract(request.request_id)
+    def _steal(self, victim: NodeState, handoff: Handoff, now: float) -> None:
+        request_id = handoff.request.request_id
+        victim.retract(request_id)
         self.counters["steals"].add()
-        if inflight:
+        if handoff.started:
             self.counters["inflight_steals"].add()
-        self._emit("steal", now, victim, request_id=request.request_id, inflight=inflight)
+        self._emit("steal", now, victim, request_id=request_id, inflight=handoff.started)
 
-    def _place(
-        self,
-        request: Request,
-        now: float,
-        checkpoint: Optional[InterruptedJob] = None,
-        exclude: Optional[int] = None,
-    ) -> None:
-        """Route one request (or failed-over checkpoint) and hand it over."""
+    def _place(self, handoff: Handoff, now: float, exclude: Optional[int] = None) -> None:
+        """Route one hand-off and push it into the chosen node's run."""
+        request = handoff.request
         reachable = self._reachable(now)
         candidates = reachable
-        if checkpoint is not None and checkpoint.history:
+        if handoff.started:
             # The replay must land on a node whose backend serves every
             # level the checkpoint already executed.
-            top = checkpoint.history[-1]
+            top = handoff.history[-1]
             candidates = [node for node in reachable if node.engine.backend.num_subnets > top]
         if exclude is not None:
             # Keep stolen work off its victim — unless the victim is the
@@ -919,37 +919,25 @@ class _Coordinator:
             if others:
                 candidates = others
         if not candidates:
-            self._unplaceable(request, now, checkpoint, bool(reachable))
+            self._unplaceable(handoff, now, bool(reachable))
             return
         node = self._choose(request, candidates, now)
-        if checkpoint is not None:
-            node.assign(request)
+        if handoff.started:
             self._emit(
                 "failover",
                 now,
                 node,
                 request_id=request.request_id,
-                resume_levels=len(checkpoint.history),
-                attempt=checkpoint.retries,
+                resume_levels=len(handoff.history),
+                attempt=handoff.retries,
             )
-            node.run.push_resumed(
-                request,
-                history=checkpoint.history,
-                steps=checkpoint.steps,
-                logits=checkpoint.logits,
-                retries=checkpoint.retries,
-                resume_at=now,
-            )
-            return
-        if self.admission is not None:
-            admitted = self._admit(request, node, candidates, now)
+        elif self.admission is not None:
+            admitted = self._admit(handoff, node, candidates, now)
             if admitted is None:
                 return
-            node, request = admitted
-        node.assign(request)
-        node.run.push(
-            request, not_before=now, retries=self.carried.pop(request.request_id, 0)
-        )
+            node, handoff = admitted
+        node.assign(handoff.request)
+        node.run.push(handoff.request, not_before=now, handoff=handoff)
 
     def _choose(
         self, request: Request, candidates: List[NodeState], now: float
@@ -976,9 +964,10 @@ class _Coordinator:
         return candidates[choice]
 
     def _admit(
-        self, request: Request, node: NodeState, candidates: List[NodeState], now: float
-    ) -> Optional[Tuple[NodeState, Request]]:
+        self, handoff: Handoff, node: NodeState, candidates: List[NodeState], now: float
+    ) -> Optional[Tuple[NodeState, Handoff]]:
         """Degrade-before-reject admission; ``None`` when rejected."""
+        request = handoff.request
         verdict, admitted = self.admission.decide(request, node, now)
         if verdict == "reject":
             # The routed node cannot land even the minimum subnet; scan
@@ -1006,7 +995,7 @@ class _Coordinator:
                         "admission control: minimum subnet predicted to "
                         "miss the deadline on every reachable node"
                     ),
-                    retries=self.carried.pop(request.request_id, 0),
+                    retries=handoff.retries,
                 )
             )
             self._emit(
@@ -1034,45 +1023,38 @@ class _Coordinator:
             )
         else:
             self._emit("admit", now, node, request_id=request.request_id)
-        return node, admitted
+        return node, replace(handoff, request=admitted)
 
-    def _unplaceable(
-        self,
-        request: Request,
-        now: float,
-        checkpoint: Optional[InterruptedJob],
-        any_reachable: bool,
-    ) -> None:
+    def _unplaceable(self, handoff: Handoff, now: float, any_reachable: bool) -> None:
         """No candidate node now: wait for one to become reachable, or finalise."""
-        if checkpoint is not None and any_reachable:
+        if handoff.started and any_reachable:
             self._best_effort(
-                checkpoint, "no surviving node serves the checkpoint's subnet levels", now
+                handoff, "no surviving node serves the checkpoint's subnet levels", now
             )
             return
         horizon = self.injector.next_reachable(now) if self.injector is not None else math.inf
         if math.isfinite(horizon):
-            if checkpoint is None:
-                self._push_event(horizon, "reroute", request)
-            elif self._past_deadline(checkpoint, horizon):
+            if handoff.started and self._past_deadline(handoff, horizon):
                 # A retry scheduled past the hard deadline could only be
                 # discovered dead at dispatch: finalise the best-so-far
                 # anytime answer immediately.
                 self._best_effort(
-                    checkpoint, "deadline reached before any node is reachable", now
+                    handoff, "deadline reached before any node is reachable", now
                 )
             else:
-                self._push_event(horizon, "retry", checkpoint)
+                self._push_event(horizon, "place", handoff)
             return
-        if checkpoint is not None:
-            self._best_effort(checkpoint, "fleet never reachable again", now)
+        if handoff.started:
+            self._best_effort(handoff, "fleet never reachable again", now)
             return
+        request = handoff.request
         self.counters["lost"].add()
         self.extra.append(
             JobRecord(
                 request=request,
                 status="lost",
                 stop_reason="no serving node ever reachable",
-                retries=self.carried.pop(request.request_id, 0),
+                retries=handoff.retries,
             )
         )
         self._emit(
@@ -1084,27 +1066,27 @@ class _Coordinator:
             arrival=float(request.arrival_time),
         )
 
-    def _best_effort(self, checkpoint: InterruptedJob, reason: str, now: float) -> None:
+    def _best_effort(self, handoff: Handoff, reason: str, now: float) -> None:
         """Finalise a checkpoint with its best-so-far anytime result."""
-        status = "completed" if checkpoint.steps else "dropped"
+        status = "completed" if handoff.steps else "dropped"
         self.extra.append(
             JobRecord(
-                request=checkpoint.request,
-                steps=list(checkpoint.steps),
+                request=handoff.request,
+                steps=list(handoff.steps),
                 status=status,
                 stop_reason=reason,
-                final_logits=checkpoint.logits,
-                retries=checkpoint.retries,
+                final_logits=handoff.logits,
+                retries=handoff.retries,
             )
         )
         self._emit(
             "finalize",
             now,
-            request_id=checkpoint.request.request_id,
+            request_id=handoff.request.request_id,
             status=status,
             reason=reason,
             best_effort=True,
-            arrival=float(checkpoint.request.arrival_time),
+            arrival=float(handoff.request.arrival_time),
         )
 
 
@@ -1143,11 +1125,7 @@ class ServingCluster:
     ) -> None:
         if not engines:
             raise ValueError("a ServingCluster needs at least one engine")
-        if not (isinstance(publish_interval, (int, float)) and publish_interval >= 0.0):
-            raise ConfigError(
-                f"publish_interval must be a non-negative number, got {publish_interval!r}"
-            )
-        self.publish_interval = float(publish_interval)
+        self.publish_interval = _check_publish_interval(publish_interval)
         from .rebalance import _coerce_rebalance
 
         self.rebalance = _coerce_rebalance(rebalance)

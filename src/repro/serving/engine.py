@@ -836,36 +836,28 @@ class ServingEngine:
 
 
 @dataclass
-class InterruptedJob:
-    """Checkpoint of a started job that lost its node (crash/partition).
+class Handoff:
+    """One unit of work entering or leaving a :class:`ServingRun`.
 
-    Carries everything failover needs: the immutable request, the
-    executed-level replay script, the steps already served (they stay on
-    the final record), the best-so-far logits, and the retries consumed.
-    No accelerator state crosses nodes — the receiving backend replays
-    the history bit-for-bit and charges the recompute MACs honestly,
-    exactly as eviction-resume does.
+    The only shape work moves between nodes in: the immutable request,
+    the executed-level replay script, the steps already served (they
+    stay on the final record), the best-so-far logits and the retries
+    consumed.  A request that never started is a hand-off with an empty
+    history.  No accelerator state crosses nodes — the receiving backend
+    replays the history bit-for-bit and charges the recompute MACs
+    honestly, exactly as eviction-resume does.
     """
 
     request: Request
-    history: List[int]
-    steps: List[ServedStep]
-    logits: Optional[np.ndarray]
-    retries: int
+    history: List[int] = field(default_factory=list)
+    steps: List[ServedStep] = field(default_factory=list)
+    logits: Optional[np.ndarray] = None
+    retries: int = 0
 
-
-@dataclass
-class CrashedNodeWork:
-    """Everything a crashing node hands back to the cluster coordinator."""
-
-    #: Requests that never executed a step — they migrate whole.
-    unstarted: List[Request]
-    #: Started jobs with progress to fail over via checkpointed replay.
-    interrupted: List[InterruptedJob]
-    #: Retries the unstarted requests already consumed, by request id
-    #: (absent means none) — pushed along with them so the budget is
-    #: per request, not per node.
-    retries: Dict[int, int] = field(default_factory=dict)
+    @property
+    def started(self) -> bool:
+        """Whether the work executed a level (and so replays on arrival)."""
+        return bool(self.history)
 
 
 class ServingRun:
@@ -930,8 +922,8 @@ class ServingRun:
         # enter on admission and leave (lazily) on finalisation, so
         # picking the next job is O(log n) instead of an O(n) scan.
         self.scheduler = engine._new_scheduler()
-        #: Not-yet-admitted requests as a heap keyed (arrival, id).
-        self._pending: List[Tuple[float, int, Request]] = []
+        #: Not-yet-admitted work as a heap keyed (arrival, id).
+        self._pending: List[Tuple[float, int, Handoff]] = []
         self._records: Dict[int, JobRecord] = {}
         self._ids: set = set()
         # Admission control runs off an expiry heap keyed on deadline:
@@ -961,71 +953,27 @@ class ServingRun:
         #: Watchdog deadlines (arrival + max_service_time, id); entries
         #: for finalised jobs are skipped lazily on pop.
         self._watchdog: List[Tuple[float, int]] = []
-        #: Failover hand-offs awaiting admission: id -> restored job and
-        #: the steps it already served elsewhere.
-        self._resume_jobs: Dict[int, ServingJob] = {}
-        self._resume_steps: Dict[int, List[ServedStep]] = {}
-        #: Retries unstarted hand-offs consumed elsewhere: id -> count.
-        self._carried_retries: Dict[int, int] = {}
         self._crashed = False
 
     # ------------------------------------------------------------------
     # Feeding and observing the run
     # ------------------------------------------------------------------
     def push(
-        self, request: Request, not_before: Optional[float] = None, retries: int = 0
+        self,
+        request: Request,
+        not_before: Optional[float] = None,
+        handoff: Optional[Handoff] = None,
     ) -> None:
         """Queue a request for admission at its arrival time.
 
         ``not_before`` floors the admission instant: a request rerouted
         to this node at coordinator time ``t`` (its first target was
-        partitioned or crashed) must not start earlier than ``t`` even
-        when this node's clock still lags behind.  ``retries`` is what
-        a handed-off request already consumed on other nodes.
-        """
-        if self._report is not None:
-            raise RuntimeError("run already finished; open a new one")
-        if self._crashed:
-            raise RuntimeError(f"node '{self.node}' crashed; cannot accept work")
-        if request.request_id in self._ids:
-            raise ValueError(
-                f"request_id {request.request_id} already pushed into this run"
-            )
-        self._ids.add(request.request_id)
-        if retries:
-            self._carried_retries[request.request_id] = retries
-        when = request.arrival_time
-        if not_before is not None:
-            when = max(when, not_before)
-        heapq.heappush(self._pending, (when, request.request_id, request))
-        if self._obs is not None:
-            # The node's perspective: it cannot learn of an arrival
-            # earlier than its own clock, which keeps per-node
-            # timestamps monotone when the fleet pushes mid-step.
-            self._obs.emit(
-                "arrive",
-                max(when, self.now),
-                node=self.node,
-                request_id=request.request_id,
-                arrival=float(request.arrival_time),
-                deadline=float(request.deadline) if request.deadline is not None else None,
-            )
-
-    def push_resumed(
-        self,
-        request: Request,
-        *,
-        history: Sequence[int],
-        steps: Sequence[ServedStep] = (),
-        logits: Optional[np.ndarray] = None,
-        retries: int = 0,
-        resume_at: Optional[float] = None,
-    ) -> None:
-        """Queue a failed-over job with its checkpoint for admission.
-
-        The job enters this run's queue at ``resume_at`` (not before its
-        arrival time) holding a freshly opened session restored from the
-        checkpoint: its first dispatch here replays the executed-level
+        partitioned or crashed, or it was stolen or failed over) must not
+        start earlier than ``t`` even when this node's clock still lags
+        behind.  ``handoff`` is work another node handed back
+        (``handoff.request`` is ``request``): its retries keep counting,
+        and a started one enters with a fresh session restored from its
+        checkpoint, so its first dispatch here replays the executed-level
         history — bit-equal to the original steps — and charges the
         recompute MACs, exactly like an eviction resume.
         """
@@ -1037,30 +985,32 @@ class ServingRun:
             raise ValueError(
                 f"request_id {request.request_id} already pushed into this run"
             )
-        session = self.engine.backend.open(request.inputs)
-        session.restore(history, logits)
-        job = ServingJob(
-            request=request,
-            session=session,
-            steps_executed=len(session.level_history),
-            retries=int(retries),
-        )
-        request_id = request.request_id
-        self._ids.add(request_id)
-        self._resume_jobs[request_id] = job
-        self._resume_steps[request_id] = list(steps)
-        when = request.arrival_time if resume_at is None else max(resume_at, request.arrival_time)
-        heapq.heappush(self._pending, (when, request_id, request))
+        if handoff is None:
+            handoff = Handoff(request)
+        elif handoff.request is not request:
+            raise ValueError("handoff.request must be the request being pushed")
+        self._ids.add(request.request_id)
+        when = request.arrival_time
+        if not_before is not None:
+            when = max(when, not_before)
+        heapq.heappush(self._pending, (when, request.request_id, handoff))
         if self._obs is not None:
+            # The node's perspective: it cannot learn of an arrival
+            # earlier than its own clock, which keeps per-node
+            # timestamps monotone when the fleet pushes mid-step.
+            resumed = (
+                {"resumed": True, "resume_levels": len(handoff.history)}
+                if handoff.started
+                else {}
+            )
             self._obs.emit(
                 "arrive",
                 max(when, self.now),
                 node=self.node,
-                request_id=request_id,
+                request_id=request.request_id,
                 arrival=float(request.arrival_time),
                 deadline=float(request.deadline) if request.deadline is not None else None,
-                resumed=True,
-                resume_levels=len(session.level_history),
+                **resumed,
             )
 
     @property
@@ -1097,8 +1047,8 @@ class ServingRun:
         """
         backend = self.engine.backend
         total = 0
-        for _, _, request in self._pending:
-            context = backend.context_nbytes(request.batch_size)
+        for _, _, handoff in self._pending:
+            context = backend.context_nbytes(handoff.request.batch_size)
             total += 0 if context is None else context
         return total
 
@@ -1192,20 +1142,19 @@ class ServingRun:
     def _admit(self, until: float) -> None:
         engine = self.engine
         while self._pending and self._pending[0][0] <= until + _TIME_EPS:
-            _, _, request = heapq.heappop(self._pending)
-            request_id = request.request_id
-            job = self._resume_jobs.pop(request_id, None)
-            if job is None:
-                job = ServingJob(
-                    request=request,
-                    session=engine.backend.open(request.inputs),
-                    retries=self._carried_retries.pop(request_id, 0),
-                )
-            record = JobRecord(
-                request=request, steps=self._resume_steps.pop(request_id, [])
+            _, request_id, handoff = heapq.heappop(self._pending)
+            request = handoff.request
+            session = engine.backend.open(request.inputs)
+            session.restore(handoff.history, handoff.logits)
+            job = ServingJob(
+                request=request,
+                session=session,
+                steps_executed=len(handoff.history),
+                retries=handoff.retries,
             )
+            record = JobRecord(request=request, steps=list(handoff.steps))
             if record.steps:
-                record.final_logits = job.session.logits
+                record.final_logits = handoff.logits
             record.retries = job.retries
             self._records[request_id] = record
             self.scheduler.add(job)
@@ -1343,12 +1292,13 @@ class ServingRun:
                 retry_at=retry_at,
             )
 
-    def crash(self, now: float) -> CrashedNodeWork:
+    def crash(self, now: float) -> List[Handoff]:
         """Kill this run: drop every resident context, hand back the work.
 
         Finalised records stay (they are this incarnation's report);
-        every live job is checkpointed (started) or returned whole
-        (unstarted) for the cluster coordinator to re-place.  After a
+        every live job is checkpointed into a :class:`Handoff` for the
+        cluster coordinator to re-place, followed by the pushed work
+        not yet admitted, returned exactly as it was pushed.  After a
         crash the run accepts no work and reports no events — a
         recovered node is a *new* run on the same engine.
         """
@@ -1358,98 +1308,54 @@ class ServingRun:
             raise RuntimeError(f"node '{self.node}' already crashed")
         self.now = max(self.now, now)
         self._crashed = True
-        unstarted: List[Request] = []
-        interrupted: List[InterruptedJob] = []
-        carried: Dict[int, int] = {}
         live = list(self.scheduler.jobs()) + list(self._delayed_jobs.values())
-        for job in live:
-            request_id = job.request.request_id
-            record = self._records.pop(request_id)
-            if job.started:
-                interrupted.append(
-                    InterruptedJob(
-                        request=job.request,
-                        history=job.session.level_history,
-                        steps=list(record.steps),
-                        logits=job.session.logits,
-                        retries=job.retries,
-                    )
-                )
-            else:
-                unstarted.append(job.request)
-                if job.retries:
-                    carried[request_id] = job.retries
-            self.scheduler.discard(job)
-            if self.memory.budget_bytes is None:
-                self._resident_total -= self._resident_sizes.pop(request_id, 0)
-            job.session.close()
-            self._ids.discard(request_id)
-        self._delayed_jobs.clear()
+        handoffs = [self._hand_off(job) for job in live]
         self._delayed_heap.clear()
         self._watchdog.clear()
-        # Pushed-but-unadmitted work re-routes whole; failover hand-offs
-        # that never landed keep their original checkpoints.
         while self._pending:
-            _, request_id, request = heapq.heappop(self._pending)
-            job = self._resume_jobs.pop(request_id, None)
-            steps = self._resume_steps.pop(request_id, [])
-            if job is not None:
-                interrupted.append(
-                    InterruptedJob(
-                        request=request,
-                        history=job.session.level_history,
-                        steps=steps,
-                        logits=job.session.logits,
-                        retries=job.retries,
-                    )
-                )
-                job.session.close()
-            else:
-                unstarted.append(request)
-                if request_id in self._carried_retries:
-                    carried[request_id] = self._carried_retries.pop(request_id)
+            _, request_id, handoff = heapq.heappop(self._pending)
+            handoffs.append(handoff)
             self._ids.discard(request_id)
+        started = sum(handoff.started for handoff in handoffs)
         _LOG.warning(
             "node '%s' crashed at t=%.6f (%d unstarted migrate, %d in-flight fail over)",
             self.node,
             self.now,
-            len(unstarted),
-            len(interrupted),
+            len(handoffs) - started,
+            started,
         )
         if self._obs is not None:
             self._obs.emit(
                 "crash",
                 self.now,
                 node=self.node,
-                unstarted=len(unstarted),
-                interrupted=len(interrupted),
+                unstarted=len(handoffs) - started,
+                interrupted=started,
             )
             if self._obs.plan_timer is not None:
                 self.engine.backend.detach_plan_timer()
-        return CrashedNodeWork(unstarted, interrupted, carried)
+        return handoffs
 
-    def steal(
-        self, count: int, now: float, include_started: bool = False
-    ) -> CrashedNodeWork:
+    def steal(self, count: int, now: float, include_started: bool = False) -> List[Handoff]:
         """Hand back up to ``count`` live jobs without killing the run.
 
         The victim-side half of coordinator work-stealing: queued-but-
-        unstarted jobs leave wholesale, newest arrival first (the
-        classic steal-from-the-tail order — they have accrued the least
-        queue position), and with ``include_started`` the least-
-        progressed in-flight jobs are checkpointed through the same
-        interrupted-job shape the crash path uses, so the destination
-        replays them bit-exactly.  Unlike :meth:`crash` the run stays
-        healthy: its clock, pending arrivals, finalised records and
-        remaining queue are untouched, and stale delayed/watchdog heap
-        entries are skipped lazily like any finalised job's.
+        unstarted jobs leave first, newest arrival first (the classic
+        steal-from-the-tail order — they have accrued the least queue
+        position), and with ``include_started`` the least-progressed
+        in-flight jobs follow, checkpointed exactly as :meth:`crash`
+        checkpoints them, so the destination replays them bit-exactly.
+        Unlike :meth:`crash` the run stays healthy: its clock, pending
+        arrivals, finalised records and remaining queue are untouched,
+        and stale delayed/watchdog heap entries are skipped lazily like
+        any finalised job's.
         """
         if self._report is not None:
             raise RuntimeError("run already finished")
         if self._crashed:
             raise RuntimeError(f"node '{self.node}' already crashed")
         if count <= 0:
-            return CrashedNodeWork(unstarted=[], interrupted=[])
+            return []
         live = list(self.scheduler.jobs()) + list(self._delayed_jobs.values())
         waiting = [job for job in live if not job.started]
         waiting.sort(
@@ -1467,41 +1373,36 @@ class ServingRun:
                 )
             )
             victims.extend(inflight[: count - len(victims)])
-        unstarted: List[Request] = []
-        interrupted: List[InterruptedJob] = []
-        carried: Dict[int, int] = {}
-        for job in victims:
-            request_id = job.request.request_id
-            record = self._records.pop(request_id)
-            if job.started:
-                interrupted.append(
-                    InterruptedJob(
-                        request=job.request,
-                        history=job.session.level_history,
-                        steps=list(record.steps),
-                        logits=job.session.logits,
-                        retries=job.retries,
-                    )
-                )
-            else:
-                unstarted.append(job.request)
-                if job.retries:
-                    carried[request_id] = job.retries
-            self.scheduler.discard(job)
-            self._delayed_jobs.pop(request_id, None)
-            if self.memory.budget_bytes is None:
-                self._resident_total -= self._resident_sizes.pop(request_id, 0)
-            job.session.close()
-            self._ids.discard(request_id)
-        if victims:
+        handoffs = [self._hand_off(job) for job in victims]
+        if handoffs:
+            started = sum(handoff.started for handoff in handoffs)
             _LOG.debug(
                 "node '%s' yielded %d unstarted + %d in-flight jobs to steal at t=%.6f",
                 self.node,
-                len(unstarted),
-                len(interrupted),
+                len(handoffs) - started,
+                started,
                 now,
             )
-        return CrashedNodeWork(unstarted, interrupted, carried)
+        return handoffs
+
+    def _hand_off(self, job: ServingJob) -> Handoff:
+        """Checkpoint one live job out of this run and release its context."""
+        request_id = job.request.request_id
+        record = self._records.pop(request_id)
+        handoff = Handoff(
+            request=job.request,
+            history=job.session.level_history,
+            steps=list(record.steps),
+            logits=job.session.logits,
+            retries=job.retries,
+        )
+        self.scheduler.discard(job)
+        self._delayed_jobs.pop(request_id, None)
+        if self.memory.budget_bytes is None:
+            self._resident_total -= self._resident_sizes.pop(request_id, 0)
+        job.session.close()
+        self._ids.discard(request_id)
+        return handoff
 
     def _batch_candidates(self, winner: ServingJob) -> List[ServingJob]:
         """Ready jobs that could share the winner's step, winner first.

@@ -107,6 +107,20 @@ _POSITIVE_STREAM_PARAMS = frozenset(
 _NON_NEGATIVE_STREAM_PARAMS = frozenset({"start_time", "intra_burst_gap", "arrival_times"})
 
 
+def _check_publish_interval(interval: Any) -> float:
+    """A fleet publish interval: a finite, non-negative, non-bool number."""
+    if (
+        isinstance(interval, bool)
+        or not isinstance(interval, (int, float))
+        or not np.isfinite(interval)
+        or interval < 0.0
+    ):
+        raise ConfigError(
+            f"publish_interval must be a finite non-negative number, got {interval!r}"
+        )
+    return float(interval)
+
+
 def _check_stream_params(kind: str, params: Mapping[str, Any]) -> None:
     """Bind ``params`` to the ``kind`` generator's signature and check values.
 
@@ -480,17 +494,9 @@ class ClusterSpec:
             object.__setattr__(self, "slo", _coerce_slo(self.slo))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        interval = self.publish_interval
-        if (
-            isinstance(interval, bool)
-            or not isinstance(interval, (int, float))
-            or not np.isfinite(interval)
-            or interval < 0.0
-        ):
-            raise ConfigError(
-                f"publish_interval must be a finite non-negative number, got {interval!r}"
-            )
-        object.__setattr__(self, "publish_interval", float(interval))
+        object.__setattr__(
+            self, "publish_interval", _check_publish_interval(self.publish_interval)
+        )
         if not self.nodes:
             raise ValueError("a ClusterSpec needs at least one node")
         # Lazy import: cluster.py imports this module at load time.

@@ -171,6 +171,20 @@ class TestServingCluster:
         assert fleet_report.num_jobs == solo_report.num_jobs
         assert fleet_report.throughput == pytest.approx(solo_report.throughput)
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan"), -1, True])
+    def test_invalid_publish_interval_rejected_on_both_entry_points(
+        self, stepping_network, calibrated_rate, bad
+    ):
+        """The spec and the constructor share one publish-interval check."""
+        from repro.utils.errors import ConfigError
+
+        with pytest.raises(ConfigError, match="publish_interval"):
+            ClusterSpec.from_dict({"nodes": [{}], "publish_interval": bad})
+        with pytest.raises(ConfigError, match="publish_interval"):
+            ServingCluster(
+                [_engine(stepping_network, calibrated_rate)], publish_interval=bad
+            )
+
     def test_three_heterogeneous_nodes_from_json(self, stepping_network, sample_pool):
         """Acceptance criterion: JSON -> ClusterSpec -> ServingCluster -> serve."""
         images, labels = sample_pool

@@ -684,26 +684,62 @@ def _faults_fleet(events, nodes=None, **overrides):
     return ServingCluster.from_spec(ClusterSpec.from_dict(data))
 
 
+#: How unstarted work leaves a node, as (fault events, the two fleet
+#: nodes (victim, destination), request count, top-level overrides,
+#: the coordinator counter that records the move).
+#: Either way the newest request fails one step on the victim first.
+_UNSTARTED_HAND_OFFS = {
+    # The victim crashes during the failed job's retry backoff.
+    "crash": (
+        [
+            {"kind": "transient", "node": "soc-a", "time": 0.0},
+            {"kind": "crash", "node": "soc-a", "time": 0.0005},
+        ],
+        ("soc-a", "soc-b"),
+        1,
+        {},
+        "migrations",
+    ),
+    # The destination heals from a partition while the victim holds a
+    # queue; the rebalance tick steals newest-first, backoff included.
+    "steal": (
+        [
+            {"kind": "transient", "node": "ecu-c", "time": 0.0},
+            {"kind": "partition", "node": "soc-b", "time": 0.0, "duration": 0.0003},
+        ],
+        ("ecu-c", "soc-b"),
+        20,
+        {"rebalance": {"enabled": True, "interval": 5e-4}},
+        "steals",
+    ),
+}
+
+
 class TestFleetAccounting:
-    def test_unstarted_hand_off_keeps_its_retries(self):
-        """A job that failed a step and never started migrates with its
-        retry count: the budget is per request, not per node."""
+    @pytest.mark.parametrize("how", sorted(_UNSTARTED_HAND_OFFS))
+    def test_unstarted_hand_off_keeps_its_retries(self, how):
+        """A job that failed a step and never started leaves its node
+        with its retry count: the budget is per request, not per node."""
+        events, (victim, destination), count, overrides, moves = _UNSTARTED_HAND_OFFS[how]
         cluster = _faults_fleet(
-            [
-                {"kind": "transient", "node": "soc-a", "time": 0.0},
-                {"kind": "crash", "node": "soc-a", "time": 0.0005},
-            ],
-            nodes=("soc-a", "soc-b"),
-            router="round-robin",
+            events, nodes=(victim, destination), router="round-robin", **overrides
         )
         shape = cluster.engines[0].backend.network.spec.input_shape
-        inputs = np.random.default_rng(0).standard_normal((1, *shape)).astype(np.float32)
-        report = cluster.serve([Request(request_id=0, arrival_time=0.0, inputs=inputs)])
-        soc_a, soc_b = report.node_reports
-        assert soc_a.metrics["counters"]["retries"] == 1
-        assert report.migrations == 1
-        assert [job.retries for job in soc_b.jobs] == [1]
-        assert report.retries == soc_b.retries == 1
+        inputs = np.random.default_rng(0).standard_normal((count, 1, *shape)).astype(np.float32)
+        # The newest request has the earliest deadline: it wins the
+        # victim's first dispatch, which fails.
+        report = cluster.serve(
+            [
+                Request(index, 0.0, inputs[index], deadline=0.01 if index == count - 1 else 0.05)
+                for index in range(count)
+            ]
+        )
+        nodes = dict(zip(report.node_names, report.node_reports))
+        assert nodes[victim].metrics["counters"]["retries"] == 1
+        assert getattr(report, moves) >= 1
+        moved = [job for job in nodes[destination].jobs if job.request.request_id == count - 1]
+        assert [job.retries for job in moved] == [1]
+        assert report.retries == 1
 
     @pytest.mark.parametrize("seed", [16, 17, 18, 19, 20])
     def test_fleet_retries_cover_every_failed_step(self, seed):

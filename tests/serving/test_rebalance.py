@@ -374,6 +374,20 @@ class TestFluidModelRetract:
 # ----------------------------------------------------------------------
 # Engine-level steal
 # ----------------------------------------------------------------------
+def _checkpoint(network, request, levels, retries=0):
+    """A real hand-off of ``request`` after ``levels`` executed levels:
+    served on a throwaway donor run, then handed back by crashing it."""
+    run = _engine(network).open_run(node="donor")
+    run.push(request)
+    run.run_until(request.arrival_time)
+    for _ in range(levels - 1):
+        run.run_until(run.now)
+    [handoff] = run.crash(run.now)
+    assert len(handoff.history) == levels
+    handoff.retries = retries
+    return handoff
+
+
 class TestServingRunSteal:
     def test_steal_moves_newest_unstarted_jobs_bit_exact(
         self, stepping_network, sample_pool
@@ -387,14 +401,14 @@ class TestServingRunSteal:
         for request in requests:
             victim.push(request)
         victim.run_until(0.1)  # the first job starts; three still queued
-        work = victim.steal(2, 0.1)
-        assert [r.request_id for r in work.unstarted] == [3, 2]  # newest first
-        assert work.interrupted == []
+        handoffs = victim.steal(2, 0.1)
+        assert [h.request.request_id for h in handoffs] == [3, 2]  # newest first
+        assert not any(h.started for h in handoffs)
 
         thief_engine = _engine(stepping_network)
         thief = thief_engine.open_run(node="thief")
-        for request in sorted(work.unstarted, key=lambda r: r.request_id):
-            thief.push(request, not_before=0.1)
+        for handoff in sorted(handoffs, key=lambda h: h.request.request_id):
+            thief.push(handoff.request, not_before=0.1, handoff=handoff)
         victim_report = victim.finish()
         thief_report = thief.finish()
         assert sorted(j.request.request_id for j in victim_report.jobs) == [0, 1]
@@ -405,12 +419,56 @@ class TestServingRunSteal:
                 job.final_logits, by_id[job.request.request_id].final_logits
             )
 
+    def test_steal_with_started_returns_one_ordered_list(
+        self, stepping_network, sample_pool
+    ):
+        """Unstarted work newest-first, then started work least-progressed
+        first — one list, every entry a bit-exact checkpoint."""
+        images, _ = sample_pool
+        requests = _requests(images, count=5, gap=0.0)
+        run = _engine(stepping_network).open_run(node="victim")
+        for request in requests[:3]:
+            run.push(request)
+        for request, levels in ((requests[3], 2), (requests[4], 1)):
+            handoff = _checkpoint(stepping_network, request, levels)
+            run.push(request, handoff=handoff)
+        run.run_until(0.0)  # admits all five; request 0 executes level 0
+        handoffs = run.steal(4, 0.0, include_started=True)
+        assert [h.request.request_id for h in handoffs] == [2, 1, 0, 4]
+        assert [len(h.history) for h in handoffs] == [0, 0, 1, 1]
+        assert [h.started for h in handoffs] == [False, False, True, True]
+        started = [h for h in handoffs if h.started]
+        assert all(len(h.steps) == len(h.history) for h in started)
+        assert all(np.array_equal(h.logits, h.steps[-1].logits) for h in started)
+        assert [j.request.request_id for j in run.finish().jobs] == [3]
+
+    def test_crash_returns_unadmitted_failover_unchanged(
+        self, stepping_network, sample_pool
+    ):
+        """A pushed failover the node never admitted comes back from a
+        crash exactly as it was pushed."""
+        images, _ = sample_pool
+        [request] = _requests(images, count=1)
+        handoff = _checkpoint(stepping_network, request, 2, retries=3)
+        history, steps, logits = list(handoff.history), list(handoff.steps), handoff.logits
+        run = _engine(stepping_network).open_run(node="n")
+        with pytest.raises(ValueError, match="handoff.request"):
+            run.push(_requests(images, count=2)[1], handoff=handoff)
+        run.push(request, not_before=5.0, handoff=handoff)
+        run.run_until(1.0)
+        [back] = run.crash(1.0)
+        assert back.request is request
+        assert back.history == history == [0, 1]
+        assert len(back.steps) == 2 and all(a is b for a, b in zip(back.steps, steps))
+        assert back.logits is logits
+        assert back.retries == 3
+        assert run.finish().jobs == []
+
     def test_steal_zero_or_from_crashed_run(self, stepping_network, sample_pool):
         images, _ = sample_pool
         run = _engine(stepping_network).open_run(node="n")
         run.push(_requests(images, count=1)[0])
-        empty = run.steal(0, 0.0)
-        assert empty.unstarted == [] and empty.interrupted == []
+        assert run.steal(0, 0.0) == []
         run.crash(0.0)
         with pytest.raises(RuntimeError, match="already crashed"):
             run.steal(1, 0.0)
