@@ -13,8 +13,9 @@ configs.
   behind the :data:`STREAMS` registry, and :func:`merge_streams` for
   combining streams with globally unique ids;
 * :mod:`repro.serving.backend` — the :class:`ExecutionBackend` protocol
-  with the SteppingNet (reuse), recompute (slimmable) and batched
-  shared-plan backends behind the :data:`BACKENDS` registry;
+  with the SteppingNet (reuse) and recompute (slimmable) cost models
+  behind the :data:`BACKENDS` registry, each advancing same-edge
+  session groups through one shared-plan pass;
 * :mod:`repro.serving.scheduler` — FIFO / EDF / priority plus the
   cost-signal-aware batch-aware / least-recompute / utility-per-mac
   scheduling of subnet steps behind the :data:`SCHEDULERS` registry,
@@ -105,8 +106,6 @@ from .analyze import (
 from .backend import (
     BACKENDS,
     DEFAULT_SERVING_DTYPE,
-    BatchedRecomputeBackend,
-    BatchedSteppingBackend,
     ExecutionBackend,
     ExecutionSession,
     RecomputeBackend,
@@ -219,8 +218,6 @@ __all__ = [
     "StepOutcome",
     "SteppingBackend",
     "RecomputeBackend",
-    "BatchedSteppingBackend",
-    "BatchedRecomputeBackend",
     "ServingJob",
     "BACKENDS",
     "get_backend",

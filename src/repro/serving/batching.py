@@ -47,6 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
+from ..utils.errors import ConfigError
 from .backend import ServingJob
 
 
@@ -72,16 +73,17 @@ class BatchDecision:
 class BatchPolicy:
     """Base class: pick the members of one batched dispatch.
 
-    Subclasses override :meth:`form`.  ``candidates`` always holds the
-    scheduler's winner first, followed by the other ready jobs at the
-    same subnet edge in scheduler preference order; returning
+    Subclasses override :meth:`form` and set :attr:`max_batch_size`.
+    ``candidates`` always holds the scheduler's winner first, followed by
+    the other ready jobs at the same subnet edge in scheduler preference
+    order, never more than ``max_batch_size`` of them; returning
     ``candidates[:1]`` reproduces unbatched serving exactly.
     """
 
     name = "batch-policy"
-    #: Whether the policy can ever return more than one member; the
-    #: engine requires a batching-capable backend only when it can.
-    coalesces = True
+    #: Members per shared pass at most; the engine offers :meth:`form`
+    #: (and refills a wave with) no more jobs than this.
+    max_batch_size = 1
     #: Whether the engine may top an under-full in-flight dispatch back
     #: up with ready jobs from *lower* subnet edges (continuous
     #: batching's mid-wave join): laggards catch up inside the dispatch
@@ -108,21 +110,6 @@ class BatchPolicy:
         return f"{type(self).__name__}()"
 
 
-class NoBatching(BatchPolicy):
-    """One request per step — the pre-batching engine, bit-for-bit."""
-
-    name = "none"
-    coalesces = False
-
-    def form(
-        self,
-        candidates: Sequence[ServingJob],
-        now: float,
-        next_arrival: Optional[float],
-    ) -> BatchDecision:
-        return BatchDecision(members=[candidates[0]])
-
-
 class SameLevelBatching(BatchPolicy):
     """Greedy same-edge coalescing up to ``max_batch_size``, never waiting."""
 
@@ -143,6 +130,19 @@ class SameLevelBatching(BatchPolicy):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(max_batch_size={self.max_batch_size})"
+
+
+class NoBatching(SameLevelBatching):
+    """One request per step — the pre-batching engine, bit-for-bit.
+
+    Greedy formation capped at one member: the engine offers only the
+    winner, so every dispatch is a solo step.
+    """
+
+    name = "none"
+
+    def __init__(self) -> None:
+        super().__init__(max_batch_size=1)
 
 
 class WindowedBatching(SameLevelBatching):
@@ -274,7 +274,7 @@ def get_batch_policy(
     try:
         factory = BATCH_POLICIES[name.lower()]
     except KeyError as exc:
-        raise KeyError(
+        raise ConfigError(
             f"unknown batch policy '{name}'; available: {sorted(BATCH_POLICIES)}"
         ) from exc
     kwargs = {}

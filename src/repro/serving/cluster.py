@@ -69,7 +69,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Type, Un
 
 import numpy as np
 
-from ..utils.errors import ConfigError
+from ..utils.errors import ConfigError, check_number
 from ..utils.logging import get_logger
 from ..utils.metrics import MetricsRegistry
 from .engine import (
@@ -83,7 +83,7 @@ from .engine import (
 from .faults import FaultSpec, RetryPolicy
 from .observe import ObservabilitySpec, TraceRecorder, _coerce_observe
 from .request import Request
-from .spec import ClusterSpec, _check_publish_interval
+from .spec import ClusterSpec
 
 _LOG = get_logger("repro.serving")
 
@@ -1125,7 +1125,7 @@ class ServingCluster:
     ) -> None:
         if not engines:
             raise ValueError("a ServingCluster needs at least one engine")
-        self.publish_interval = _check_publish_interval(publish_interval)
+        self.publish_interval = check_number("publish_interval", publish_interval)
         from .rebalance import _coerce_rebalance
 
         self.rebalance = _coerce_rebalance(rebalance)

@@ -51,6 +51,7 @@ from ..runtime.policies import (
     prediction_confidence,
     softmax,
 )
+from ..utils.errors import check_number
 from ..utils.logging import get_logger
 from ..utils.metrics import MetricsRegistry, merge_snapshots, percentile
 from .backend import ExecutionBackend, ServingJob, StepOutcome
@@ -555,11 +556,9 @@ class ServingEngine:
     batch_policy:
         A :class:`~repro.serving.batching.BatchPolicy` registry name
         (``"none"``, ``"same-level"``, ``"windowed"``, ``"continuous"``)
-        or instance.  Anything but ``"none"`` coalesces compatible ready
+        or instance.  Anything but ``"none"`` merges compatible ready
         jobs at the scheduler winner's subnet edge into one shared
-        forward pass and requires a batching-capable backend
-        (:class:`~repro.serving.backend.BatchedSteppingBackend` or
-        :class:`~repro.serving.backend.BatchedRecomputeBackend`);
+        forward pass (every backend runs it);
         ``"continuous"`` additionally refills under-full in-flight waves
         with catch-up laggards at every step boundary.
     overhead_per_step:
@@ -628,10 +627,9 @@ class ServingEngine:
         retry_policy: Optional[RetryPolicy] = None,
         observe: Optional[ObservabilitySpec] = None,
     ) -> None:
-        if overhead_per_step < 0:
-            raise ValueError("overhead_per_step must be non-negative")
-        if max_service_time is not None and max_service_time <= 0:
-            raise ValueError("max_service_time must be positive when set")
+        check_number("overhead_per_step", overhead_per_step)
+        if max_service_time is not None:
+            check_number("max_service_time", max_service_time, positive=True)
         self.backend = backend
         self.trace = trace
         self._scheduler_spec = scheduler if scheduler is not None else FIFOScheduler
@@ -642,12 +640,6 @@ class ServingEngine:
             batch_policy = NoBatching()
         elif isinstance(batch_policy, str):
             batch_policy = get_batch_policy(batch_policy)
-        if batch_policy.coalesces and not getattr(backend, "supports_batching", False):
-            raise ValueError(
-                f"batch policy '{batch_policy.name}' needs a batching-capable "
-                f"backend (e.g. 'batched'); backend '{backend.name}' executes "
-                "one session per step"
-            )
         self.batch_policy = batch_policy
         #: Prototype budget (bound + policy, zeroed counters); every run
         #: gets a fresh clone, like the scheduler.  Validates the policy
@@ -1421,20 +1413,20 @@ class ServingRun:
         engine = self.engine
         scheduler = self.scheduler
         edge = winner.edge
-        limit = getattr(engine.batch_policy, "max_batch_size", None)
+        limit = engine.batch_policy.max_batch_size
         members = [winner]
-        if limit is not None and limit <= 1:
+        if limit <= 1:
             return members
         total = scheduler.count_at_edge(edge)
         if total <= 1:
             return members
         ready = len(scheduler)
-        fetch = total if limit is None else min(total, limit)
+        fetch = min(total, limit)
         offset = 0
-        while limit is None or len(members) < limit:
+        while len(members) < limit:
             candidates = scheduler.jobs_at_edge(edge, fetch)
             for job in candidates[offset:]:
-                if limit is not None and len(members) >= limit:
+                if len(members) >= limit:
                     break
                 if job is winner:
                     continue
@@ -1512,10 +1504,7 @@ class ServingRun:
             # the front of their old edge bucket and must not crowd the
             # fetch window.
             pool.extend(scheduler.jobs_at_edge(edge, slots + len(taken)))
-        try:
-            pool.sort(key=scheduler.key)
-        except NotImplementedError:
-            pass  # select()-only scheduler: admission order per edge
+        pool.sort(key=scheduler.key)
         bound = math.inf
         if engine.enforce_deadline:
             for member in members:
@@ -1559,6 +1548,31 @@ class ServingRun:
             bound = cand_bound
             laggards.append(job)
         return laggards
+
+    def _advance_cohort(
+        self, cohort: List[ServingJob], wave: int, catch_up: bool = False
+    ) -> List["StepOutcome"]:
+        """Advance ``cohort`` (jobs at one subnet edge) by one shared pass.
+
+        The only place a dispatch executes work: the main group and every
+        catch-up cohort of a refilled wave alike.  Records the pass's
+        occupancy and ``batch_pass`` event (``catch_up`` marks a
+        laggard's replay-to-the-wave pass).
+        """
+        engine = self.engine
+        outcomes = engine.backend.advance_group([job.session for job in cohort])
+        engine._fill_group_confidences(outcomes)
+        for job in cohort:
+            job.steps_executed += 1
+        self._batch_sizes.append(len(cohort))
+        self._m_dispatches.add()
+        self._m_occupancy.observe(len(cohort))
+        if self._obs is not None:
+            marker = {"catch_up": True} if catch_up else {}
+            self._obs.emit(
+                "batch_pass", self.now, node=self.node, wave=wave, size=len(cohort), **marker
+            )
+        return outcomes
 
     def _advance_once(self) -> None:
         """Process exactly one event (idle jump, coalescing wait or dispatch)."""
@@ -1605,28 +1619,26 @@ class ServingRun:
             self._fail_step(job)
             return
 
-        members = [job]
-        if engine.batch_policy.coalesces:
-            next_arrival = self._pending[0][0] if self._pending else None
-            decision = engine.batch_policy.form(
-                self._batch_candidates(job), self.now, next_arrival
-            )
-            if decision.wait_until is not None:
-                # Bounded coalescing wait: let the next arrival land and
-                # re-enter the dispatch with a fuller candidate set.  The
-                # arrival is strictly in the future, so time always moves.
-                if self._obs is not None:
-                    self._obs.emit(
-                        "coalesce_wait",
-                        self.now,
-                        node=self.node,
-                        wait_until=decision.wait_until,
-                        pending=len(scheduler),
-                        reason=decision.reason,
-                    )
-                self.now = max(self.now, decision.wait_until)
-                return
-            members = list(decision.members) or [job]
+        next_arrival = self._pending[0][0] if self._pending else None
+        decision = engine.batch_policy.form(
+            self._batch_candidates(job), self.now, next_arrival
+        )
+        if decision.wait_until is not None:
+            # Bounded coalescing wait: let the next arrival land and
+            # re-enter the dispatch with a fuller candidate set.  The
+            # arrival is strictly in the future, so time always moves.
+            if self._obs is not None:
+                self._obs.emit(
+                    "coalesce_wait",
+                    self.now,
+                    node=self.node,
+                    wait_until=decision.wait_until,
+                    pending=len(scheduler),
+                    reason=decision.reason,
+                )
+            self.now = max(self.now, decision.wait_until)
+            return
+        members = list(decision.members) or [job]
 
         for member in members:
             if member.first_scheduled_at is None:
@@ -1665,27 +1677,8 @@ class ServingRun:
                     cohorts.setdefault(laggard.edge, []).append(laggard)
                 active = []
                 for cohort in cohorts.values():
-                    if len(cohort) == 1:
-                        outcomes = [cohort[0].session.advance()]
-                    else:
-                        outcomes = engine.backend.advance_group(
-                            [laggard.session for laggard in cohort]
-                        )
-                        engine._fill_group_confidences(outcomes)
-                    self._batch_sizes.append(len(cohort))
-                    self._m_dispatches.add()
-                    self._m_occupancy.observe(len(cohort))
-                    if self._obs is not None:
-                        self._obs.emit(
-                            "batch_pass",
-                            self.now,
-                            node=self.node,
-                            wave=wave,
-                            size=len(cohort),
-                            catch_up=True,
-                        )
+                    outcomes = self._advance_cohort(cohort, wave, catch_up=True)
                     for laggard, outcome in zip(cohort, outcomes):
-                        laggard.steps_executed += 1
                         executed.append((laggard, outcome))
                         stop_reason = engine._continuation_stop_reason(
                             laggard, self.now, ready, outcome
@@ -1698,8 +1691,8 @@ class ServingRun:
                             active.append(laggard)
 
         if engine.batch_policy.refills and job.started:
-            limit = getattr(engine.batch_policy, "max_batch_size", None)
-            if limit is not None and len(group) < limit:
+            limit = engine.batch_policy.max_batch_size
+            if len(group) < limit:
                 # One refill round per dispatch: re-refilling after
                 # catch-up stop-outs free slots again would consume the
                 # entry backlog through many skinny level-0 cohorts
@@ -1712,25 +1705,11 @@ class ServingRun:
                         member.first_scheduled_at = self.now
                 catch_up(more)
 
-        if len(group) == 1:
-            group_outcomes = [group[0].session.advance()]
-        else:
-            group_outcomes = engine.backend.advance_group(
-                [member.session for member in group]
-            )
-            engine._fill_group_confidences(group_outcomes)
-        for member, outcome in zip(group, group_outcomes):
-            member.steps_executed += 1
-            executed.append((member, outcome))
-        self._batch_sizes.append(len(group))
-        self._m_dispatches.add()
-        self._m_occupancy.observe(len(group))
+        group_outcomes = self._advance_cohort(group, wave)
+        executed.extend(zip(group, group_outcomes))
         self._m_steps.add(len(executed))
         self._sync_resident([job_ for job_, _ in executed])
         if self._obs is not None:
-            self._obs.emit(
-                "batch_pass", self.now, node=self.node, wave=wave, size=len(group)
-            )
             resident = (
                 self._resident_total
                 if self.memory.budget_bytes is None

@@ -46,10 +46,10 @@ from ..runtime.policies import (
     SteppingPolicy,
 )
 from ..runtime.traces import trace_library
-from ..utils.errors import ConfigError
+from ..utils.errors import ConfigError, check_number
 from ..utils.rng import new_generator
 from .backend import ExecutionBackend, get_backend
-from .batching import BATCH_POLICIES, get_batch_policy
+from .batching import get_batch_policy
 from .faults import FaultSpec
 from .memory import MemoryBudget
 from .analyze import SLOSpec, _coerce_slo
@@ -105,20 +105,6 @@ _POSITIVE_STREAM_PARAMS = frozenset(
      "batch_size", "priority_levels", "relative_deadline"}
 )
 _NON_NEGATIVE_STREAM_PARAMS = frozenset({"start_time", "intra_burst_gap", "arrival_times"})
-
-
-def _check_publish_interval(interval: Any) -> float:
-    """A fleet publish interval: a finite, non-negative, non-bool number."""
-    if (
-        isinstance(interval, bool)
-        or not isinstance(interval, (int, float))
-        or not np.isfinite(interval)
-        or interval < 0.0
-    ):
-        raise ConfigError(
-            f"publish_interval must be a finite non-negative number, got {interval!r}"
-        )
-    return float(interval)
 
 
 def _check_stream_params(kind: str, params: Mapping[str, Any]) -> None:
@@ -245,9 +231,7 @@ class ServingSpec:
         ``"none"`` (default), ``"same-level"`` greedy, ``"windowed"``
         with a ``batch_window``-second max wait, or ``"continuous"``
         (greedy plus mid-wave refills at every step boundary);
-        ``max_batch_size`` caps members per shared pass.  Policies other
-        than ``"none"`` need a batching-capable backend (``"batched"``
-        or ``"batched-recompute"``).
+        ``max_batch_size`` caps members per shared pass.
     num_subnets:
         Optional cap on the subnet levels this node serves (shallow
         nodes in heterogeneous fleets); ``None`` serves every level of
@@ -297,38 +281,31 @@ class ServingSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "observe", _coerce_observe(self.observe))
         # Fail at config load, not mid-simulation.
-        backend_cls = get_backend(self.backend)
+        get_backend(self.backend)
         # Instantiating validates both the name and the params (a typo'd
         # or mistyped scheduler_params key fails here, at config load).
         get_scheduler(self.scheduler, **dict(self.scheduler_params))
         get_platform(self.platform)
         if self.policy.lower() not in POLICIES:
-            raise KeyError(f"unknown policy '{self.policy}'; available: {sorted(POLICIES)}")
+            raise ConfigError(f"unknown policy '{self.policy}'; available: {sorted(POLICIES)}")
         if self.trace == "constant" and self.trace_rate is None:
             raise ValueError("trace 'constant' requires an explicit trace_rate (MAC/s)")
-        if self.trace_scale <= 0:
-            raise ValueError("trace_scale must be positive")
-        if self.overhead_per_step is not None and self.overhead_per_step < 0:
-            raise ValueError("overhead_per_step must be non-negative")
+        # NaN passes every ``<`` bound, so numeric knobs go through the
+        # one finite-number check instead.
+        if self.trace_rate is not None:
+            check_number("trace_rate", self.trace_rate)
+        check_number("trace_scale", self.trace_scale, positive=True)
+        if self.overhead_per_step is not None:
+            check_number("overhead_per_step", self.overhead_per_step)
+        check_number("batch_window", self.batch_window)
+        if self.max_service_time is not None:
+            check_number("max_service_time", self.max_service_time, positive=True)
         np.dtype(self.dtype)  # raises on unknown dtype names
-        if self.batch_policy.lower() not in BATCH_POLICIES:
-            raise KeyError(
-                f"unknown batch policy '{self.batch_policy}'; "
-                f"available: {sorted(BATCH_POLICIES)}"
-            )
+        get_batch_policy(self.batch_policy)  # unknown names raise ConfigError
         if self.max_batch_size < 1:
             raise ValueError("max_batch_size must be at least 1")
-        if self.batch_window < 0:
-            raise ValueError("batch_window must be non-negative")
-        if self.batch_policy.lower() != "none" and not backend_cls.supports_batching:
-            raise ValueError(
-                f"batch policy '{self.batch_policy}' needs a batching-capable "
-                f"backend (e.g. 'batched'), got '{self.backend}'"
-            )
         if self.num_subnets is not None and self.num_subnets < 1:
             raise ValueError("num_subnets cap must be at least 1")
-        if self.max_service_time is not None and self.max_service_time <= 0:
-            raise ValueError("max_service_time must be positive when set")
         # Delegate to the single source of truth for the memory knobs:
         # the constructor build_engine will call anyway (a ConfigError on
         # an unknown eviction policy propagates with its registry
@@ -495,7 +472,7 @@ class ClusterSpec:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         object.__setattr__(
-            self, "publish_interval", _check_publish_interval(self.publish_interval)
+            self, "publish_interval", check_number("publish_interval", self.publish_interval)
         )
         if not self.nodes:
             raise ValueError("a ClusterSpec needs at least one node")

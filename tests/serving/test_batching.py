@@ -19,7 +19,6 @@ from repro.models import mlp
 from repro.runtime.platform import ResourceTrace
 from repro.serving import (
     BATCH_POLICIES,
-    BatchedSteppingBackend,
     NoBatching,
     Request,
     SameLevelBatching,
@@ -30,6 +29,7 @@ from repro.serving import (
     periodic_stream,
     poisson_stream,
 )
+from repro.utils.errors import ConfigError
 
 
 @pytest.fixture
@@ -67,10 +67,10 @@ class TestBatchPolicyRegistry:
     def test_none_ignores_knobs(self):
         policy = get_batch_policy("none", max_batch_size=32, window=1.0)
         assert isinstance(policy, NoBatching)
-        assert not policy.coalesces
+        assert policy.max_batch_size == 1
 
     def test_unknown_name(self):
-        with pytest.raises(KeyError, match="batch policy"):
+        with pytest.raises(ConfigError, match="batch policy"):
             get_batch_policy("adaptive-magic")
 
     def test_invalid_knobs(self):
@@ -94,7 +94,7 @@ class TestAdvanceGroup:
         shape = (3, 12, 12) if model == "conv" else (16,)
         inputs = [rng.standard_normal((1,) + shape) for _ in range(group_size)]
         solo_backend = SteppingBackend(network, dtype=dtype)
-        group_backend = BatchedSteppingBackend(network, dtype=dtype)
+        group_backend = SteppingBackend(network, dtype=dtype)
         solo = [solo_backend.open(batch) for batch in inputs]
         grouped = [group_backend.open(batch) for batch in inputs]
         for _ in range(network.num_subnets):
@@ -112,7 +112,7 @@ class TestAdvanceGroup:
         sizes = [1, 2, 1, 3]
         inputs = [rng.standard_normal((n, 3, 12, 12)) for n in sizes]
         solo_backend = SteppingBackend(stepping_network)
-        group_backend = BatchedSteppingBackend(stepping_network)
+        group_backend = SteppingBackend(stepping_network)
         solo = [solo_backend.open(batch) for batch in inputs]
         grouped = [group_backend.open(batch) for batch in inputs]
         for _ in range(stepping_network.num_subnets):
@@ -123,7 +123,7 @@ class TestAdvanceGroup:
 
     def test_member_can_leave_the_batch_and_continue_solo(self, stepping_network, rng):
         inputs = [rng.standard_normal((1, 3, 12, 12)) for _ in range(3)]
-        backend = BatchedSteppingBackend(stepping_network)
+        backend = SteppingBackend(stepping_network)
         sessions = [backend.open(batch) for batch in inputs]
         backend.advance_group(sessions)
         # One member steps alone, the rest keep batching: both stay exact.
@@ -136,7 +136,7 @@ class TestAdvanceGroup:
             assert np.array_equal(reference.advance().logits, outcome.logits)
 
     def test_mixed_edges_rejected(self, stepping_network, rng):
-        backend = BatchedSteppingBackend(stepping_network)
+        backend = SteppingBackend(stepping_network)
         ahead = backend.open(rng.standard_normal((1, 3, 12, 12)))
         ahead.advance()
         fresh = backend.open(rng.standard_normal((1, 3, 12, 12)))
@@ -145,15 +145,19 @@ class TestAdvanceGroup:
 
     def test_empty_group_rejected(self, stepping_network):
         with pytest.raises(ValueError, match="empty"):
-            BatchedSteppingBackend(stepping_network).advance_group([])
+            SteppingBackend(stepping_network).advance_group([])
 
-    def test_base_backend_advances_groups_solo(self, stepping_network, rng):
-        """Non-batching backends stay correct under advance_group."""
-        backend = SteppingBackend(stepping_network)
-        assert not backend.supports_batching
-        sessions = [backend.open(rng.standard_normal((1, 3, 12, 12))) for _ in range(2)]
+    def test_uncompiled_backend_advances_groups_solo(self, stepping_network, rng):
+        """Without a plan, advance_group loops solo advances, still exact."""
+        inputs = [rng.standard_normal((1, 3, 12, 12)) for _ in range(2)]
+        backend = SteppingBackend(stepping_network, compiled=False)
+        assert backend.plan is None
+        reference = SteppingBackend(stepping_network, compiled=False)
+        sessions = [backend.open(batch) for batch in inputs]
         outcomes = backend.advance_group(sessions)
         assert [outcome.subnet for outcome in outcomes] == [0, 0]
+        for batch, outcome in zip(inputs, outcomes):
+            assert np.array_equal(reference.open(batch).advance().logits, outcome.logits)
 
 
 # ----------------------------------------------------------------------
@@ -161,12 +165,9 @@ class TestAdvanceGroup:
 # ----------------------------------------------------------------------
 class TestBatchedServing:
     def _serve(self, network, requests, *, policy=None, scheduler="fifo", trace=None,
-               overhead=0.0, backend_cls=None, **engine_kwargs):
-        backend_cls = backend_cls or (
-            SteppingBackend if policy is None else BatchedSteppingBackend
-        )
+               overhead=0.0, **engine_kwargs):
         engine = ServingEngine(
-            backend_cls(network),
+            SteppingBackend(network),
             trace or _fast_trace(),
             scheduler,
             batch_policy=policy,
@@ -326,13 +327,31 @@ class TestBatchedServing:
         assert batched.makespan < solo.makespan
         assert batched.num_dispatches < solo.num_dispatches
 
-    def test_coalescing_policy_requires_batched_backend(self, stepping_network):
-        with pytest.raises(ValueError, match="batching-capable"):
-            ServingEngine(
-                SteppingBackend(stepping_network),
-                _fast_trace(),
-                batch_policy="same-level",
-            )
+    @pytest.mark.parametrize("policy", ["same-level", "continuous"])
+    def test_stepping_backend_batches_bit_equal_to_none(
+        self, stepping_network, sample_pool, policy
+    ):
+        """Every backend runs the shared pass: no batching-capable variant needed."""
+        images, labels = sample_pool
+        requests = poisson_stream(
+            images, labels, rate=80.0, num_requests=24, batch_size=1, seed=3
+        )
+        trace = _calibrated_trace(stepping_network)
+        oracle = self._serve(stepping_network, requests, policy="none", trace=trace)
+        batched = self._serve(
+            stepping_network,
+            requests,
+            policy=get_batch_policy(policy, max_batch_size=8),
+            trace=trace,
+        )
+        assert batched.batched_steps > 0
+        for reference, job in zip(oracle.jobs, batched.jobs):
+            assert job.request.request_id == reference.request.request_id
+            assert [step.subnet for step in job.steps] == [
+                step.subnet for step in reference.steps
+            ]
+            for step, ref_step in zip(job.steps, reference.steps):
+                assert np.array_equal(step.logits, ref_step.logits)
 
     def test_none_policy_allowed_on_any_backend(self, stepping_network, sample_pool):
         images, _ = sample_pool

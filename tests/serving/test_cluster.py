@@ -10,7 +10,6 @@ import pytest
 from repro.runtime.platform import ResourceTrace
 from repro.serving import (
     ROUTERS,
-    BatchedSteppingBackend,
     ClusterReport,
     ClusterSpec,
     JobRecord,
@@ -420,7 +419,7 @@ class TestQueueDepthRouting:
         assert all(count > 0 for count in report.node_jobs)
 
     def test_fleet_report_batching_aggregates(self, stepping_network, sample_pool):
-        from repro.serving import BatchedSteppingBackend, SameLevelBatching
+        from repro.serving import SameLevelBatching
         from repro.runtime.platform import ResourceTrace
 
         images, _ = sample_pool
@@ -429,7 +428,7 @@ class TestQueueDepthRouting:
             Request(request_id=i, arrival_time=0.0, inputs=images[i][None]) for i in range(8)
         ]
         engine = ServingEngine(
-            BatchedSteppingBackend(stepping_network),
+            SteppingBackend(stepping_network),
             ResourceTrace.constant(largest / 0.05, name="t"),
             batch_policy=SameLevelBatching(8),
         )
@@ -642,7 +641,7 @@ class TestCausalCoordinator:
             Request(request_id=i, arrival_time=0.0, inputs=images[i][None]) for i in range(8)
         ]
         engine = ServingEngine(
-            BatchedSteppingBackend(stepping_network),
+            SteppingBackend(stepping_network),
             ResourceTrace.constant(calibrated_rate, name="t"),
             batch_policy="same-level",
         )

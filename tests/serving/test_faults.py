@@ -793,12 +793,10 @@ def _chaos_cluster(network, mode, faults):
     crashes during refill catch-up, and ``memory`` makes eviction race
     failover (the budget fits ~2 contexts).
     """
-    from repro.serving import BatchedSteppingBackend
-
     def engine():
         if mode == "batched":
             return ServingEngine(
-                BatchedSteppingBackend(network, policy=_full_quality()),
+                SteppingBackend(network, policy=_full_quality()),
                 _constant_trace(network),
                 "batch-aware",
                 batch_policy="same-level",
@@ -806,7 +804,7 @@ def _chaos_cluster(network, mode, faults):
             )
         if mode == "continuous":
             return ServingEngine(
-                BatchedSteppingBackend(network, policy=_full_quality()),
+                SteppingBackend(network, policy=_full_quality()),
                 _constant_trace(network),
                 "batch-aware",
                 batch_policy="continuous",

@@ -11,7 +11,6 @@ from repro.serving import (
     FIFOScheduler,
     PriorityScheduler,
     Request,
-    Scheduler,
     ServingEngine,
     SteppingBackend,
     get_scheduler,
@@ -110,19 +109,6 @@ class TestReadyQueue:
         assert scheduler.pick(now=1.0) is first  # job stays queued between steps
         scheduler.discard(first)
         assert scheduler.pick(now=1.0).request.request_id == 0
-
-    def test_select_only_subclass_still_serves(self, stepping_network):
-        """The pre-heap extension contract (override select() only) keeps working."""
-
-        class LIFOScheduler(Scheduler):
-            name = "lifo"
-
-            def select(self, jobs, now):
-                return max(jobs, key=lambda job: (job.request.arrival_time, job.request.request_id))
-
-        requests = _random_requests(np.random.default_rng(0), 6)
-        report = _serve(stepping_network, requests, LIFOScheduler())
-        assert len(report.completed_jobs) == 6
 
     def test_clear_resets_between_serves(self):
         scheduler = get_scheduler("fifo")

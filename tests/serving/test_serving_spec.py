@@ -6,16 +6,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.runtime.platform import PLATFORMS, get_platform
+from repro.runtime.platform import PLATFORMS, ResourceTrace, get_platform
 from repro.serving import (
     ClusterSpec,
+    RecomputeBackend,
     ServingEngine,
     ServingSpec,
+    SteppingBackend,
     StreamSpec,
+    get_batch_policy,
     get_policy,
     poisson_stream,
 )
 from repro.utils.errors import ConfigError
+
+CONFIGS = Path(__file__).resolve().parents[2] / "benchmarks" / "configs"
 
 
 class TestServingSpec:
@@ -36,14 +41,59 @@ class TestServingSpec:
         assert ServingSpec.from_dict(json.loads(blob)) == spec
 
     def test_unknown_registry_names_fail_at_construction(self):
-        with pytest.raises(KeyError, match="backend"):
+        with pytest.raises(ConfigError, match="backend"):
             ServingSpec(backend="quantum")
-        with pytest.raises(KeyError, match="scheduler"):
+        with pytest.raises(ConfigError, match="scheduler"):
             ServingSpec(scheduler="lottery")
         with pytest.raises(KeyError, match="platform"):
             ServingSpec(platform="datacenter-gpu")
-        with pytest.raises(KeyError, match="policy"):
+        with pytest.raises(ConfigError, match="policy"):
             ServingSpec(policy="oracle")
+        with pytest.raises(ConfigError, match="batch policy"):
+            ServingSpec(batch_policy="adaptive")
+        with pytest.raises(ConfigError, match="batch policy"):
+            get_batch_policy("adaptive")
+
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("overhead_per_step", float("nan")),
+            ("overhead_per_step", float("inf")),
+            ("overhead_per_step", True),
+            ("max_service_time", float("nan")),
+            ("max_service_time", float("inf")),
+            ("trace_scale", float("nan")),
+            ("trace_scale", False),
+            ("trace_rate", float("nan")),
+            ("batch_window", float("nan")),
+            ("batch_window", float("inf")),
+        ],
+    )
+    def test_non_finite_node_knobs_fail_at_config_load(self, knob, value):
+        node = {"trace": "constant", "trace_rate": 1e9, knob: value}
+        with pytest.raises(ConfigError, match=knob):
+            ServingSpec.from_dict(node)
+        payload = json.loads((CONFIGS / "cluster_smoke.json").read_text())
+        payload["nodes"][0][knob] = value
+        with pytest.raises(ConfigError, match=knob):
+            ClusterSpec.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("overhead_per_step", float("nan")),
+            ("overhead_per_step", True),
+            ("max_service_time", float("nan")),
+            ("max_service_time", float("-inf")),
+        ],
+    )
+    def test_non_finite_engine_knobs_rejected(self, stepping_network, knob, value):
+        with pytest.raises(ConfigError, match=knob):
+            ServingEngine(
+                SteppingBackend(stepping_network),
+                ResourceTrace.constant(1e9),
+                **{knob: value},
+            )
 
     def test_unknown_config_key_rejected(self):
         with pytest.raises(KeyError, match="schedulr"):
@@ -86,7 +136,7 @@ class TestServingSpec:
         recompute = ServingSpec(
             backend="batched-recompute", batch_policy="continuous"
         ).build_engine(stepping_network)
-        assert recompute.backend.supports_batching
+        assert isinstance(recompute.backend, RecomputeBackend)
         assert not recompute.backend.reuses_activations
 
     def test_constant_trace_requires_rate(self):
@@ -398,12 +448,6 @@ class TestBatchingAndCapKnobs:
         with pytest.raises(KeyError, match="batch policy"):
             ServingSpec(backend="batched", batch_policy="adaptive")
 
-    def test_coalescing_policy_requires_batched_backend(self):
-        with pytest.raises(ValueError, match="batching-capable"):
-            ServingSpec(backend="stepping", batch_policy="same-level")
-        # The non-coalescing default stays legal on every backend.
-        ServingSpec(backend="stepping", batch_policy="none")
-
     def test_invalid_batch_knobs_rejected(self):
         with pytest.raises(ValueError, match="max_batch_size"):
             ServingSpec(backend="batched", batch_policy="same-level", max_batch_size=0)
@@ -425,7 +469,9 @@ class TestBatchingAndCapKnobs:
         assert engine.batch_policy.name == "windowed"
         assert engine.batch_policy.max_batch_size == 4
         assert engine.batch_policy.window == pytest.approx(0.02)
-        assert engine.backend.supports_batching
+        # "batched" is a config alias: the node reports the stepping backend.
+        assert isinstance(engine.backend, SteppingBackend)
+        assert engine.backend.name == "steppingnet"
 
     def test_num_subnets_cap_limits_served_levels(self, stepping_network, sample_pool):
         """A shallow node stops refining at its declared cap."""
