@@ -7,7 +7,7 @@ anything beyond the benchmarks themselves:
    hold for *any* artifact of a given name, checked-in baseline or
    fresh smoke run alike: bit-identity flags are true, speedups clear
    their floors, decomposition phase fractions sum to one, correlation
-   fields exist.  Wall-clock-derived numbers get loose floors only
+   fields exist, the plan kernel executes exactly the MACs it counts.  Wall-clock-derived numbers get loose floors only
    (CI machines are noisy); simulated-time numbers get exact ones.
 2. **Drift comparison** (``--fresh``) — a freshly generated artifact is
    compared against the checked-in baseline of the same name.  Sections
@@ -115,6 +115,7 @@ INVARIANTS = {
         ("stepping.compiled", "exists"),
         # Wall-clock derived: loose floor only (CI noise).
         ("speedup.per_step", "ge", 0.5),
+        ("macs.levels.*.executed", "ge", 1),
     ],
     "BENCH_batching.json": [
         ("runs.1", "exists"),
@@ -192,8 +193,18 @@ def _steal_improves_imbalance(artifact):
     return failures
 
 
+def _plan_executes_counted_macs(artifact):
+    """Custom check: every level's step executes exactly its MAC delta."""
+    return [
+        f"macs {row['edge']}: executed {row['executed']} != counted {row['counted']}"
+        for row in artifact["macs"]["levels"]
+        if row["executed"] != row["counted"]
+    ]
+
+
 #: Custom (whole-artifact) invariant callables per name.
 CUSTOM_INVARIANTS = {
+    "BENCH_plan.json": [_plan_executes_counted_macs],
     "BENCH_sweep.json": [_sweep_phase_fractions],
     "BENCH_steal.json": [_steal_improves_imbalance],
 }
@@ -201,6 +212,7 @@ CUSTOM_INVARIANTS = {
 #: Sections compared *exactly* between a fresh artifact and its
 #: baseline: deterministic simulated-time payloads only.
 EXACT_SECTIONS = {
+    "BENCH_plan.json": ["macs"],
     "BENCH_sweep.json": ["smoke"],
     "BENCH_steal.json": ["smoke", "sharding"],
     "BENCH_faults.json": ["smoke"],

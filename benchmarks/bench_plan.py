@@ -14,7 +14,11 @@ can run it as a smoke job::
 
 Results are written as machine-readable JSON (default
 ``benchmarks/results/BENCH_plan.json``) so per-PR perf regressions are
-visible as artefact diffs.
+visible as artefact diffs.  A ``macs`` section is always written at
+smoke scale: per subnet level, the MACs one sample's step executes (read
+off the plan's packed slab shapes) against the MAC delta the subnet is
+charged.  It is deterministic, so ``bench_check.py --fresh`` compares a
+smoke run's section exactly against the checked-in baseline.
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ from repro.serving import ServingEngine, SteppingBackend, poisson_stream
 
 DEFAULT_OUT = Path(__file__).parent / "results" / "BENCH_plan.json"
 DTYPE = np.float32  # the serving default; the plan targets deployment inference
+#: Width scale of the ``macs`` section: the smoke network, at every scale.
+MACS_WIDTH_SCALE = 0.25
 
 
 def build_network(width_scale: float, num_subnets: int):
@@ -78,6 +84,33 @@ def time_stepping(network, inputs, compiled: bool, repeats: int) -> dict:
         "mean_step_ms": mean_step * 1e3,
         "steps_per_second": steps / sum(float(np.sum(s)) for s in per_level),
         "per_level_ms": [float(np.mean(samples)) * 1e3 for samples in per_level],
+    }
+
+
+def mac_table(width_scale: float, num_subnets: int) -> dict:
+    """Per level: MACs the step to it executes vs the subnet delta it counts.
+
+    ``counted`` is the delta under the dense mask (``apply_prune=False``):
+    the trimmed kernel skips every input a level cannot use, but its GEMM
+    still multiplies pruned zeros, which ``counted_pruned`` (what serving
+    charges) leaves out.
+    """
+    network = build_network(width_scale, num_subnets)
+    plan = NetworkPlan(network, apply_prune=False, dtype=DTYPE)
+    pruned = [network.subnet_macs(level) for level in range(num_subnets)]
+    levels = []
+    for level in range(num_subnets):
+        levels.append(
+            {
+                "edge": f"{level - 1}->{level}",
+                "executed": plan.executed_macs(level - 1, level),
+                "counted": plan.subnet_macs[level] - (plan.subnet_macs[level - 1] if level else 0),
+                "counted_pruned": pruned[level] - (pruned[level - 1] if level else 0),
+            }
+        )
+    return {
+        "config": {"model": "lenet-3c1l", "width_scale": width_scale, "num_subnets": num_subnets},
+        "levels": levels,
     }
 
 
@@ -145,6 +178,7 @@ def main() -> None:
             "smoke": bool(args.smoke),
         },
         "plan_build_seconds": plan_build_seconds,
+        "macs": mac_table(MACS_WIDTH_SCALE, num_subnets),
         "stepping": {},
         "serving": {},
     }
@@ -174,6 +208,11 @@ def main() -> None:
         f"  speedup: {results['speedup']['per_step']:.2f}x per step, "
         f"{results['speedup']['serving_wall']:.2f}x serving wall-clock"
     )
+    for row in results["macs"]["levels"]:
+        print(
+            f"  macs {row['edge']:>5s}: executed {row['executed']:>9d}, "
+            f"counted {row['counted']:>9d} ({row['counted_pruned']:d} after pruning)"
+        )
 
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(results, indent=2) + "\n")

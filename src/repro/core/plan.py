@@ -15,8 +15,9 @@ an execution plan before taking traffic:
   folded into the weights and bias (exact at eval time) and the result
   cast to the inference dtype (conv slabs are pre-flattened to the
   ``(new_units, C*kh*kw)`` GEMM layout);
-* the **new-unit index arrays** used to scatter freshly computed
-  activations into the full-width layer cache;
+* the **new-unit indices** used to scatter freshly computed activations
+  into the full-width layer cache — a basic ``slice`` when the units are
+  contiguous (a view, no gather), the index array otherwise;
 * per output-head level, the **delta column slices** (packed masked
   columns of the classifier for the features added at that level);
 * the per-level **subnet MAC counts** used for step accounting.
@@ -26,6 +27,19 @@ autograd ``Tensor`` wrapping, no per-step masking or casting, and no
 full-width ``cached * active`` copies — new units are written into the
 cache in place, and the cache itself (zeros at not-yet-computed units)
 *is* the combined activation map of the current subnet.
+
+Each hidden step's slab is compiled to the **active-input prefix** of
+its target level: ``width[l]`` is one past the last input channel (or
+feature) with level ``<= l``, times ``kh*kw`` for a conv, and a step to
+level ``to`` multiplies only the first ``width[to]`` rows of the column
+buffer (a zero-copy prefix view) or input features.  The trim is exact:
+by the no-new-to-old-synapse rule a unit first appearing at level ``l``
+has zero weight from every input above ``l``, and those inputs' columns
+are still zero in the buffer anyway, so only products of zeros are
+dropped.  With a level-sorted assignment every input below the prefix is
+active and a step executes exactly the MAC delta the subnet counts
+(:meth:`NetworkPlan.executed_macs`); any other assignment trims only
+partially but stays exact, with no permutation and no second path.
 
 The step loop also exploits the structural invariant that a computed
 activation never changes: per conv layer a persistent **column buffer**
@@ -60,9 +74,9 @@ weights, masks or assignments and a new plan must be built (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 from weakref import WeakKeyDictionary, ref
 
 import numpy as np
@@ -75,6 +89,53 @@ from ..nn.functional import (
 )
 
 _EMPTY = np.empty(0, dtype=np.int64)
+
+#: Indexes a set of units: a basic slice (contiguous units) or an array.
+_Index = Union[slice, np.ndarray]
+
+
+def _as_index(units: np.ndarray) -> _Index:
+    """Ascending unique ``units`` as a basic slice when contiguous (indexing
+    by it is a view, not a gather), else the index array itself."""
+    if units.size and int(units[-1]) - int(units[0]) + 1 == units.size:
+        return slice(int(units[0]), int(units[-1]) + 1)
+    return units
+
+
+def _join_indices(indices: Sequence[_Index], units: np.ndarray) -> _Index:
+    """Index of the concatenated ``units`` of consecutive slabs: one slice
+    when the slabs' slices abut in order, else the concatenated array."""
+    if indices and all(isinstance(index, slice) for index in indices) and all(
+        a.stop == b.start for a, b in zip(indices, indices[1:])
+    ):
+        return slice(indices[0].start, indices[-1].stop)
+    return units
+
+
+def _touches(index: _Index) -> bool:
+    """Whether ``index`` selects any unit (a compiled slice always does)."""
+    return isinstance(index, slice) or index.size > 0
+
+
+def _epilogue(z: np.ndarray, bias: np.ndarray, activation: str) -> np.ndarray:
+    """Bias add and activation, in place on the fresh GEMM output ``z``."""
+    z += bias
+    if activation == "relu":
+        return np.maximum(z, 0.0, out=z)
+    return activation_infer(z, activation)
+
+
+def _level_inputs(
+    in_levels: np.ndarray, num_subnets: int
+) -> Tuple[Tuple[_Index, ...], Tuple[int, ...]]:
+    """Per level: the inputs active there (what a fresh buffer packs) and
+    the active-input prefix, one past the last of them."""
+    actives, prefixes = [], []
+    for level in range(num_subnets):
+        active = np.flatnonzero(in_levels <= level)
+        actives.append(_as_index(active))
+        prefixes.append(int(active[-1]) + 1 if active.size else 0)
+    return tuple(actives), tuple(prefixes)
 
 
 def _bn_fold(norm, units: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -96,6 +157,11 @@ class _Slab:
     units: np.ndarray  # output-unit (or input-feature) indices
     weight: np.ndarray  # masked, folded, cast — rows (hidden) or columns (output)
     bias: Optional[np.ndarray] = None
+    index: Optional[_Index] = None  # ``units`` as a slice when contiguous
+
+    def __post_init__(self) -> None:
+        if self.index is None:
+            self.index = _as_index(self.units)
 
 
 class _RangeCache:
@@ -105,10 +171,17 @@ class _RangeCache:
     distinct ranges is at most ``O(num_subnets^2)`` and in serving
     practice dominated by ``i -> i+1``; concatenations are built once on
     first use and reused for the lifetime of the plan.
+
+    Hidden-layer level slabs are stored trimmed to their own level's
+    active-input prefix ``widths[level]``; a range to ``to`` is
+    zero-padded to ``widths[to]`` columns (the padding multiplies inputs
+    a lower-level unit has no synapse from).  ``widths`` is ``None`` for
+    the output head, whose slabs are stored whole.
     """
 
-    def __init__(self, levels: List[_Slab]) -> None:
+    def __init__(self, levels: List[_Slab], widths: Optional[Sequence[int]] = None) -> None:
         self.levels = levels
+        self.widths = widths
         self._ranges: Dict[Tuple[int, int], _Slab] = {}
 
     def pack(self, from_subnet: int, to_subnet: int) -> _Slab:
@@ -117,26 +190,27 @@ class _RangeCache:
         if hit is not None:
             return hit
         slabs = [s for s in self.levels[from_subnet + 1 : to_subnet + 1] if s.units.size]
-        if len(slabs) == 1:
+        template = self.levels[to_subnet].weight
+        width = template.shape[1] if self.widths is None else self.widths[to_subnet]
+        if len(slabs) == 1 and slabs[0].weight.shape[1] == width:
             hit = slabs[0]
-        elif slabs:
-            hit = _Slab(
-                units=np.concatenate([s.units for s in slabs]),
-                weight=np.concatenate([s.weight for s in slabs], axis=0),
-                bias=(
-                    np.concatenate([s.bias for s in slabs])
-                    if slabs[0].bias is not None
-                    else None
-                ),
-            )
         else:
-            empty = self.levels[0]
+            weight = np.zeros(
+                (sum(s.units.size for s in slabs), width), dtype=template.dtype
+            )
+            start = 0
+            for s in slabs:
+                weight[start : start + s.units.size, : s.weight.shape[1]] = s.weight
+                start += s.units.size
+            first = self.levels[0]
+            units = np.concatenate([_EMPTY] + [s.units for s in slabs])
             hit = _Slab(
-                units=_EMPTY,
-                weight=np.empty((0,) + empty.weight.shape[1:], dtype=empty.weight.dtype),
+                units=units,
+                index=_join_indices([s.index for s in slabs], units),
+                weight=weight,
                 bias=(
-                    np.empty(0, dtype=empty.weight.dtype)
-                    if empty.bias is not None
+                    np.concatenate([first.bias[:0]] + [s.bias for s in slabs])
+                    if first.bias is not None
                     else None
                 ),
             )
@@ -155,7 +229,7 @@ class _HiddenStep:
     slabs: _RangeCache
     # conv only
     in_channels: int = 0
-    in_levels: np.ndarray = field(default_factory=lambda: _EMPTY)
+    active: Tuple[_Index, ...] = ()  # per level: input channels active there
     kernel: Tuple[int, int] = (1, 1)
     stride: int = 1
     padding: int = 1
@@ -178,7 +252,7 @@ class _PoolStep:
     stride: int
     index: int  # aux-state key (position in the plan)
     num_channels: int  # width of the incoming full-width map
-    in_levels: np.ndarray  # subnet level of each incoming channel
+    active: Tuple[_Index, ...]  # per level: incoming channels active there
     out_spatial: Tuple[int, int] = (1, 1)  # pooled-map dims (footprint accounting)
 
 
@@ -273,7 +347,9 @@ class NetworkPlan:
                         stride=block.pool_stride,
                         index=len(self.steps),
                         num_channels=prev_layer.assignment.num_units,
-                        in_levels=prev_layer.assignment.unit_subnet.copy(),
+                        active=_level_inputs(
+                            prev_layer.assignment.unit_subnet, self.num_subnets
+                        )[0],
                         out_spatial=spatial,
                     )
                 )
@@ -292,18 +368,19 @@ class NetworkPlan:
                 f"rule; hidden layer '{layer.layer_name}' was built with "
                 "enforce_incremental=False"
             )
-        in_subnet = network.input_unit_subnet(block.param_index)
+        in_subnet = np.asarray(network.input_unit_subnet(block.param_index))
         conv = block.kind == "conv"
-        step_in_width = (
-            layer.in_channels * layer.kernel_size * layer.kernel_size if conv else 0
-        )
+        taps = layer.kernel_size * layer.kernel_size if conv else 1
+        active, prefixes = _level_inputs(in_subnet, self.num_subnets)
+        widths = [prefix * taps for prefix in prefixes]
         levels: List[_Slab] = []
         for level in range(self.num_subnets):
             units = layer.assignment.units_in_exactly(level)
             weight = layer.weight_rows(units, level, in_subnet, self.apply_prune)
-            if conv:
-                # GEMM layout (units, C*kh*kw)
-                weight = weight.reshape(units.size, step_in_width)
+            # GEMM layout (units, C*kh*kw), trimmed to this level's
+            # active-input prefix: the no-new-to-old rule zeroes every
+            # weight from an input above ``level``.
+            weight = weight.reshape(units.size, in_subnet.size * taps)[:, : widths[level]]
             bias = layer.bias.data[units]
             if block.norm is not None:
                 scale, shift = _bn_fold(block.norm, units)
@@ -321,11 +398,11 @@ class NetworkPlan:
             param_index=block.param_index,
             activation=block.activation,
             num_units=layer.assignment.num_units,
-            slabs=_RangeCache(levels),
+            slabs=_RangeCache(levels, widths),
         )
         if conv:
             step.in_channels = layer.in_channels
-            step.in_levels = np.asarray(in_subnet)
+            step.active = active
             step.kernel = (layer.kernel_size, layer.kernel_size)
             step.stride = layer.stride
             step.padding = layer.padding
@@ -415,6 +492,26 @@ class NetworkPlan:
                 elements += batch_size * step.bias.shape[0]  # logits
         return elements * itemsize
 
+    def executed_macs(self, from_subnet: int, to_subnet: int) -> int:
+        """MACs one sample's step from ``from_subnet`` to ``to_subnet`` multiplies.
+
+        Read off the packed slab shapes (new units x trimmed input width x
+        output positions, plus the head's new columns), so it counts what
+        the kernel runs, zeros included: the subnet delta
+        ``subnet_macs[to] - subnet_macs[from]`` exactly for a one-level
+        step over a level-sorted, unpruned network; more for a multi-level
+        jump (lower-level units are padded to the target width), an
+        unsorted assignment (a partial trim) or pruned weights.
+        """
+        total = 0
+        for step in self.steps:
+            if isinstance(step, _HiddenStep):
+                rows, width = step.slabs.pack(from_subnet, to_subnet).weight.shape
+                total += rows * width * step.out_spatial[0] * step.out_spatial[1]
+            elif isinstance(step, _OutputStep):
+                total += step.slabs.pack(from_subnet, to_subnet).weight.size
+        return total
+
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -482,12 +579,12 @@ class NetworkPlan:
         self,
         step: _HiddenStep,
         current: np.ndarray,
-        changed: np.ndarray,
+        changed: _Index,
         cache: Dict[int, np.ndarray],
         aux: Dict,
         from_subnet: int,
         to_subnet: int,
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    ) -> Tuple[np.ndarray, _Index]:
         batch = current.shape[0]
         out_h, out_w = step.out_spatial
         cached = cache.get(step.param_index)
@@ -507,10 +604,10 @@ class NetworkPlan:
                 dtype=self.dtype,
             )
             aux[key] = cols
-            update = np.where(step.in_levels <= to_subnet)[0]
+            update = step.active[to_subnet]
         else:
             update = changed
-        if update.size:
+        if _touches(update):
             cols[update] = im2col_channel_major(
                 current[:, update],
                 step.kernel,
@@ -520,13 +617,22 @@ class NetworkPlan:
 
         slab = step.slabs.pack(from_subnet, to_subnet)
         if slab.units.size:
-            # (new_units, C*kh*kw) @ (C*kh*kw, N*oh*ow): weights on the
-            # left keeps the activation, bias add and scatter contiguous.
-            z = slab.weight @ cols.reshape(-1, batch * out_h * out_w)
-            z += slab.bias[:, None]
-            z = activation_infer(z, step.activation)
-            cached[:, slab.units] = z.reshape(-1, batch, out_h, out_w).transpose(1, 0, 2, 3)
-        return cached, slab.units
+            self._conv_gemm(step, slab, cols, cached)
+        return cached, slab.index
+
+    @staticmethod
+    def _conv_gemm(step: _HiddenStep, slab: _Slab, cols: np.ndarray, cached: np.ndarray) -> None:
+        """New units' outputs from the active-input prefix of ``cols``.
+
+        (new_units, width) @ (width, N*oh*ow) over a zero-copy prefix view
+        of the channel-major buffer: weights on the left keep the
+        epilogue and the scatter contiguous.  The one GEMM both
+        :meth:`execute` and :meth:`execute_batch` run, per request.
+        """
+        batch, _, out_h, out_w = cached.shape
+        flat = cols.reshape(-1, batch * out_h * out_w)[: slab.weight.shape[1]]
+        z = _epilogue(slab.weight @ flat, slab.bias[:, None], step.activation)
+        cached[:, slab.index] = z.reshape(-1, batch, out_h, out_w).transpose(1, 0, 2, 3)
 
     def _run_linear(
         self,
@@ -535,28 +641,28 @@ class NetworkPlan:
         cache: Dict[int, np.ndarray],
         from_subnet: int,
         to_subnet: int,
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    ) -> Tuple[np.ndarray, _Index]:
         cached = cache.get(step.param_index)
         if cached is None:
             cached = np.zeros((current.shape[0], step.num_units), dtype=self.dtype)
             cache[step.param_index] = cached
         slab = step.slabs.pack(from_subnet, to_subnet)
         if slab.units.size:
-            z = current @ slab.weight.T + slab.bias
-            cached[:, slab.units] = activation_infer(z, step.activation)
+            z = current[:, : slab.weight.shape[1]] @ slab.weight.T
+            cached[:, slab.index] = _epilogue(z, slab.bias, step.activation)
         # Unwritten units are exactly the ones outside ``to_subnet`` and
         # they are zero, so the cache *is* the combined activation map —
         # no masked full-width copy needed.
-        return cached, slab.units
+        return cached, slab.index
 
     def _run_pool(
         self,
         step: _PoolStep,
         current: np.ndarray,
-        changed: np.ndarray,
+        changed: _Index,
         aux: Dict,
         to_subnet: int,
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    ) -> Tuple[np.ndarray, _Index]:
         batch, _, height, width = current.shape
         size, stride = step.size, step.stride
         out_h = (height - size) // stride + 1
@@ -566,10 +672,10 @@ class NetworkPlan:
         if pooled is None:
             pooled = np.zeros((batch, step.num_channels, out_h, out_w), dtype=self.dtype)
             aux[key] = pooled
-            update = np.where(step.in_levels <= to_subnet)[0]
+            update = step.active[to_subnet]
         else:
             update = changed
-        if update.size:
+        if _touches(update):
             pooled[:, update] = self._pool_channels(current[:, update], step.kind, size, stride)
         return pooled, changed
 
@@ -606,11 +712,11 @@ class NetworkPlan:
     ) -> np.ndarray:
         if from_subnet < 0 or logits is None:
             slab = step.slabs.pack(-1, to_subnet)
-            return current[:, slab.units] @ slab.weight + step.bias
+            return current[:, slab.index] @ slab.weight + step.bias
         slab = step.slabs.pack(from_subnet, to_subnet)
         if slab.units.size == 0:
             return logits.copy()
-        return logits + current[:, slab.units] @ slab.weight
+        return logits + current[:, slab.index] @ slab.weight
 
     # ------------------------------------------------------------------
     # Batched execution (shared pass over several in-flight requests)
@@ -654,7 +760,7 @@ class NetworkPlan:
             if member.aux.pop("level", None) != from_subnet:
                 member.aux.clear()
             currents.append(current)
-        changeds: List[np.ndarray] = [_EMPTY] * len(members)
+        changeds: List[_Index] = [_EMPTY] * len(members)
         outs: List[Optional[np.ndarray]] = [None] * len(members)
         for step in self.steps:
             if isinstance(step, _HiddenStep):
@@ -686,18 +792,23 @@ class NetworkPlan:
 
     @staticmethod
     def _update_groups(
-        currents: Sequence[np.ndarray], updates: Sequence[np.ndarray]
-    ) -> Dict[Tuple[bytes, int], List[int]]:
+        currents: Sequence[np.ndarray], updates: Sequence[_Index]
+    ) -> Dict[Tuple[object, int], List[int]]:
         """Members grouped by (update set, sample count) for shared packing.
 
         Lockstep batches have identical update sets, so this almost
         always yields one group; a member resuming with a rebuilt buffer
         simply lands in its own group and packs solo.
         """
-        groups: Dict[Tuple[bytes, int], List[int]] = {}
+        groups: Dict[Tuple[object, int], List[int]] = {}
         for index, (current, update) in enumerate(zip(currents, updates)):
-            if update.size:
-                groups.setdefault((update.tobytes(), current.shape[0]), []).append(index)
+            if _touches(update):
+                key = (
+                    (update.start, update.stop)
+                    if isinstance(update, slice)
+                    else update.tobytes()
+                )
+                groups.setdefault((key, current.shape[0]), []).append(index)
         return groups
 
     @classmethod
@@ -726,14 +837,14 @@ class NetworkPlan:
         step: _HiddenStep,
         members: Sequence[BatchMember],
         currents: List[np.ndarray],
-        changeds: List[np.ndarray],
+        changeds: List[_Index],
         from_subnet: int,
         to_subnet: int,
-    ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    ) -> Tuple[List[np.ndarray], List[_Index]]:
         out_h, out_w = step.out_spatial
         cacheds: List[np.ndarray] = []
         colss: List[np.ndarray] = []
-        updates: List[np.ndarray] = []
+        updates: List[_Index] = []
         for member, current, changed in zip(members, currents, changeds):
             batch = current.shape[0]
             cached = member.cache.get(step.param_index)
@@ -748,7 +859,7 @@ class NetworkPlan:
                     dtype=self.dtype,
                 )
                 member.aux[key] = cols
-                update = np.where(step.in_levels <= to_subnet)[0]
+                update = step.active[to_subnet]
             else:
                 update = changed
             cacheds.append(cached)
@@ -779,14 +890,8 @@ class NetworkPlan:
             # per-member products are exactly the solo path's, keeping
             # the batched step bit-equal by construction.
             for cached, cols in zip(cacheds, colss):
-                flat = cols.reshape(-1, cols.shape[3] * out_h * out_w)
-                z = slab.weight @ flat
-                z += slab.bias[:, None]
-                z = activation_infer(z, step.activation)
-                cached[:, slab.units] = z.reshape(
-                    -1, cached.shape[0], out_h, out_w
-                ).transpose(1, 0, 2, 3)
-        return cacheds, [slab.units] * len(members)
+                self._conv_gemm(step, slab, cols, cached)
+        return cacheds, [slab.index] * len(members)
 
     def _run_linear_batch(
         self,
@@ -795,7 +900,7 @@ class NetworkPlan:
         currents: List[np.ndarray],
         from_subnet: int,
         to_subnet: int,
-    ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    ) -> Tuple[List[np.ndarray], List[_Index]]:
         cacheds: List[np.ndarray] = []
         for member, current in zip(members, currents):
             cached = member.cache.get(step.param_index)
@@ -805,28 +910,29 @@ class NetworkPlan:
             cacheds.append(cached)
         slab = step.slabs.pack(from_subnet, to_subnet)
         if slab.units.size:
+            width = slab.weight.shape[1]
             if len({current.shape for current in currents}) == 1:
-                z = np.stack(currents) @ slab.weight.T + slab.bias
-                z = activation_infer(z, step.activation)
+                z = np.stack([current[:, :width] for current in currents]) @ slab.weight.T
+                z = _epilogue(z, slab.bias, step.activation)
                 for cached, zb in zip(cacheds, z):
-                    cached[:, slab.units] = zb
+                    cached[:, slab.index] = zb
             else:
                 for cached, current in zip(cacheds, currents):
-                    z = current @ slab.weight.T + slab.bias
-                    cached[:, slab.units] = activation_infer(z, step.activation)
-        return cacheds, [slab.units] * len(members)
+                    z = current[:, :width] @ slab.weight.T
+                    cached[:, slab.index] = _epilogue(z, slab.bias, step.activation)
+        return cacheds, [slab.index] * len(members)
 
     def _run_pool_batch(
         self,
         step: _PoolStep,
         members: Sequence[BatchMember],
         currents: List[np.ndarray],
-        changeds: List[np.ndarray],
+        changeds: List[_Index],
         to_subnet: int,
-    ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    ) -> Tuple[List[np.ndarray], List[_Index]]:
         size, stride = step.size, step.stride
         pooleds: List[np.ndarray] = []
-        updates: List[np.ndarray] = []
+        updates: List[_Index] = []
         for member, current, changed in zip(members, currents, changeds):
             batch, _, height, width = current.shape
             out_h = (height - size) // stride + 1
@@ -836,7 +942,7 @@ class NetworkPlan:
             if pooled is None:
                 pooled = np.zeros((batch, step.num_channels, out_h, out_w), dtype=self.dtype)
                 member.aux[key] = pooled
-                update = np.where(step.in_levels <= to_subnet)[0]
+                update = step.active[to_subnet]
             else:
                 update = changed
             pooleds.append(pooled)
@@ -869,14 +975,14 @@ class NetworkPlan:
             ]
         if all(initial):
             slab = step.slabs.pack(-1, to_subnet)
-            gathered = [current[:, slab.units] for current in currents]
+            gathered = [current[:, slab.index] for current in currents]
             if len({g.shape for g in gathered}) == 1:
                 return list(np.stack(gathered) @ slab.weight + step.bias)
             return [g @ slab.weight + step.bias for g in gathered]
         slab = step.slabs.pack(from_subnet, to_subnet)
         if slab.units.size == 0:
             return [member.logits.copy() for member in members]
-        gathered = [current[:, slab.units] for current in currents]
+        gathered = [current[:, slab.index] for current in currents]
         if len({g.shape for g in gathered}) == 1:
             deltas = np.stack(gathered) @ slab.weight
             return [member.logits + delta for member, delta in zip(members, deltas)]

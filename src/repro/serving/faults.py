@@ -41,7 +41,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..runtime.platform import ResourcePhase, ResourceTrace
 from ..utils import new_generator
-from ..utils.errors import ConfigError
+from ..utils.errors import ConfigError, check_number
 from ..utils.logging import get_logger
 
 _LOG = get_logger("repro.serving")
@@ -83,10 +83,11 @@ class CrashFault:
     kind = "crash"
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError(f"crash time must be >= 0, got {self.time}")
-        if self.recover_time is not None and self.recover_time <= self.time:
-            raise ValueError(
+        check_number("crash time", self.time)
+        if self.recover_time is not None and (
+            check_number("crash recover_time", self.recover_time) <= self.time
+        ):
+            raise ConfigError(
                 f"recover_time ({self.recover_time}) must be after the crash ({self.time})"
             )
 
@@ -106,8 +107,7 @@ class TransientFault:
     kind = "transient"
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError(f"transient fault time must be >= 0, got {self.time}")
+        check_number("transient fault time", self.time)
 
 
 @dataclass(frozen=True)
@@ -122,12 +122,10 @@ class SlowdownFault:
     kind = "slowdown"
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError(f"slowdown start must be >= 0, got {self.time}")
-        if self.duration <= 0:
-            raise ValueError(f"slowdown duration must be > 0, got {self.duration}")
-        if not 0.0 < self.factor <= 1.0:
-            raise ValueError(f"slowdown factor must be in (0, 1], got {self.factor}")
+        check_number("slowdown time", self.time)
+        check_number("slowdown duration", self.duration, positive=True)
+        if check_number("slowdown factor", self.factor, positive=True) > 1.0:
+            raise ConfigError(f"slowdown factor must be in (0, 1], got {self.factor}")
 
     @property
     def end(self) -> float:
@@ -145,10 +143,8 @@ class PartitionFault:
     kind = "partition"
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError(f"partition start must be >= 0, got {self.time}")
-        if self.duration <= 0:
-            raise ValueError(f"partition duration must be > 0, got {self.duration}")
+        check_number("partition time", self.time)
+        check_number("partition duration", self.duration, positive=True)
 
     @property
     def end(self) -> float:
@@ -218,16 +214,21 @@ class RetryPolicy:
             raise ConfigError(
                 f"unknown retry policy {self.kind!r}; available: {sorted(RETRY_KINDS)}"
             )
-        if self.base_delay < 0:
-            raise ValueError(f"base_delay must be >= 0, got {self.base_delay}")
-        if self.multiplier < 1.0:
-            raise ValueError(f"multiplier must be >= 1, got {self.multiplier}")
-        if self.max_delay < self.base_delay:
-            raise ValueError(
+        check_number("retry base_delay", self.base_delay)
+        if check_number("retry multiplier", self.multiplier) < 1.0:
+            raise ConfigError(f"multiplier must be >= 1, got {self.multiplier}")
+        if check_number("retry max_delay", self.max_delay) < self.base_delay:
+            raise ConfigError(
                 f"max_delay ({self.max_delay}) must be >= base_delay ({self.base_delay})"
             )
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+        if (
+            isinstance(self.max_retries, bool)
+            or not isinstance(self.max_retries, int)
+            or self.max_retries < 0
+        ):
+            raise ConfigError(
+                f"retry max_retries must be a non-negative integer, got {self.max_retries!r}"
+            )
 
     @property
     def budget(self) -> int:

@@ -9,7 +9,14 @@ through several subnet levels and checks the logits three ways:
 * compiled stepped logits vs a from-scratch ``network.forward`` of the
   target subnet (the ground truth the paper's reuse guarantee promises);
 * exact MAC accounting (plan-cached counts equal the network's).
+
+The trimmed-width kernel is pinned by two more invariants: the MACs a
+step executes (read off the packed slab shapes) equal the subnet MAC
+delta on level-sorted networks, and the batched step stays bit-equal
+to the solo one across BLAS blocking boundaries.
 """
+
+import copy
 
 import numpy as np
 import pytest
@@ -17,7 +24,7 @@ import pytest
 from repro.baselines.common import set_prefix_assignments
 from repro.core import IncrementalInference, NetworkPlan, SteppingNetwork
 from repro.core.pruning import apply_unstructured_pruning
-from repro.models import mlp, tiny_cnn
+from repro.models import lenet_3c1l, mlp, tiny_cnn
 from repro.nn.tensor import no_grad
 from repro.serving.backend import RecomputeBackend, SteppingBackend
 
@@ -90,6 +97,26 @@ def _avg_pool_tanh_network():
     network.forward(warm, subnet=3)
     network.eval()
     return network, np.random.default_rng(5).standard_normal((5, 3, 12, 12))
+
+
+def _lenet_network():
+    """LeNet-3C1L as the serving layer builds it: expanded 1.5x, nested
+    quarter-width prefix assignments (its third conv reads K = 648 of
+    864 columns at level 2)."""
+    spec = lenet_3c1l(num_classes=10, input_shape=(3, 32, 32))
+    network = SteppingNetwork(spec.expand(1.5), num_subnets=4, rng=np.random.default_rng(0))
+    set_prefix_assignments(network, [0.25, 0.5, 0.75, 1.0])
+    network.assignment.validate()
+    network.eval()
+    return network, np.random.default_rng(8).standard_normal((8, 3, 32, 32))
+
+
+def _sorted_conv_network():
+    """The conv fixture (batch norm, warm statistics) re-assigned level-sorted."""
+    network, inputs = _conv_network()
+    set_prefix_assignments(network, [0.3, 0.55, 0.8, 1.0])
+    network.assignment.validate()
+    return network, inputs
 
 
 MODELS = {"conv": _conv_network, "mlp": _mlp_network, "avg_tanh": _avg_pool_tanh_network}
@@ -406,3 +433,124 @@ class TestPlanInvalidationHooks:
         )
         retrain_with_distillation(network, None, image_loader, config)
         assert self._cached(network) is not stale
+
+
+def _edges(num_subnets):
+    """Every one-level step, fresh run included: (-1, 0), (0, 1), ..."""
+    return [(level - 1, level) for level in range(num_subnets)]
+
+
+def _macs_delta(network, from_subnet, to_subnet):
+    before = network.subnet_macs(from_subnet) if from_subnet >= 0 else 0
+    return network.subnet_macs(to_subnet) - before
+
+
+def _full_width_macs(network, from_subnet, to_subnet):
+    """MACs of the untrimmed kernel: every new unit against every input."""
+    total = 0
+    for block in network.parametric_blocks():
+        layer = block.layer
+        if block.is_output:
+            levels = network.input_unit_subnet(block.param_index)
+            new = np.count_nonzero((levels > from_subnet) & (levels <= to_subnet))
+            total += new * layer.out_features
+            continue
+        levels = layer.assignment.unit_subnet
+        new = np.count_nonzero((levels > from_subnet) & (levels <= to_subnet))
+        if block.kind == "conv":
+            out_h, out_w = layer.output_spatial_size(*block.in_spatial)
+            total += new * layer.in_channels * layer.kernel_size**2 * out_h * out_w
+        else:
+            total += new * layer.in_features
+    return total
+
+
+class TestExecutedMacs:
+    """The kernel runs the MACs its subnet counts, and no more."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [_sorted_conv_network, _mlp_network, _avg_pool_tanh_network, _lenet_network],
+        ids=["conv", "mlp", "avg_tanh", "lenet_3c1l"],
+    )
+    def test_level_sorted_steps_execute_the_subnet_delta(self, build):
+        network, _ = build()
+        plan = NetworkPlan(network, dtype=np.float32)
+        for from_subnet, to_subnet in _edges(network.num_subnets):
+            assert plan.executed_macs(from_subnet, to_subnet) == _macs_delta(
+                network, from_subnet, to_subnet
+            )
+        # A multi-level jump pads lower-level units to the target width.
+        for from_subnet, to_subnet in [(-1, 3), (0, 2), (1, 3)]:
+            executed = plan.executed_macs(from_subnet, to_subnet)
+            assert _macs_delta(network, from_subnet, to_subnet) <= executed
+            assert executed <= _full_width_macs(network, from_subnet, to_subnet)
+
+    def test_lenet_trims_below_the_full_width(self):
+        network, _ = _lenet_network()
+        plan = NetworkPlan(network, dtype=np.float32)
+        executed = plan.executed_macs(-1, 0)
+        assert executed * 3 < _full_width_macs(network, -1, 0)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("build", [_conv_network, _lenet_network], ids=["conv", "lenet_3c1l"])
+    def test_unsorted_assignment_trims_partially_and_exactly(self, build, dtype):
+        network, inputs = build()
+        # A low-index level-0 unit moved up leaves each layer unsorted:
+        # the next layer's level-0 prefix spans an input it cannot use
+        # yet.  (The conv fixture's scattered assignment starts unsorted.)
+        for layer in network.param_layers[:-1]:
+            level0 = layer.assignment.units_in_exactly(0)
+            if level0.size > 1:
+                layer.assignment.move_units(level0[:1], 2)
+        network.assignment.validate()
+        plan = NetworkPlan(network, dtype=dtype)
+        partial = False
+        for from_subnet, to_subnet in _edges(network.num_subnets):
+            executed = plan.executed_macs(from_subnet, to_subnet)
+            delta = _macs_delta(network, from_subnet, to_subnet)
+            assert delta <= executed <= _full_width_macs(network, from_subnet, to_subnet)
+            partial |= executed > delta
+        assert partial
+        tol = TOLERANCES[np.dtype(dtype)]
+        compiled = IncrementalInference(network, dtype=dtype, plan=plan)
+        legacy = IncrementalInference(network, dtype=dtype, compiled=False)
+        np.testing.assert_allclose(
+            compiled.run(inputs, subnet=0).logits, legacy.run(inputs, subnet=0).logits, **tol
+        )
+        for level in range(1, network.num_subnets):
+            np.testing.assert_allclose(
+                compiled.step_to(level).logits, legacy.step_to(level).logits, **tol
+            )
+
+
+class TestBatchBitEquality:
+    """``execute_batch`` is bit-equal to ``execute`` per member, also
+    where the trimmed GEMM width crosses BLAS blocking boundaries."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size", [2, 3, 8])
+    @pytest.mark.parametrize("edge", [(-1, 0), (1, 2), (0, 2), (-1, 3)])
+    def test_batched_step_matches_solo(self, dtype, size, edge):
+        from repro.core.plan import BatchMember
+
+        network, images = _lenet_network()
+        plan = NetworkPlan.for_network(network, dtype=dtype)
+        from_subnet, to_subnet = edge
+        members = []
+        for index in range(size):
+            inputs = images[index : index + 1].astype(dtype)
+            cache, aux, logits = {}, {}, None
+            for level in range(from_subnet + 1):
+                logits = plan.execute(inputs, cache, aux, logits, level - 1, level)
+            members.append(BatchMember(inputs, cache, aux, logits))
+        solo = copy.deepcopy(members)
+        batched = plan.execute_batch(members, from_subnet, to_subnet)
+        for member, twin, got in zip(members, solo, batched):
+            want = plan.execute(
+                twin.inputs, twin.cache, twin.aux, twin.logits, from_subnet, to_subnet
+            )
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+            for key, value in twin.cache.items():
+                np.testing.assert_array_equal(member.cache[key], value)

@@ -667,6 +667,38 @@ class TestClusterSpecFaults:
         # KeyError's repr-quoting is suppressed: the message stays plain.
         assert str(excinfo.value).startswith("unknown router")
 
+    #: (where in cluster_faults.json, key, bad value).  Each of these got
+    #: through ``from_dict`` once: most served silently (a transient at
+    #: NaN was dropped), NaN ``base_delay`` failed deep inside ``serve()``
+    #: and NaN ``factor`` raised a bare ``ValueError``.
+    _BAD_FAULT_NUMBERS = [
+        ("transient", "time", float("nan")),
+        ("crash", "time", float("nan")),
+        ("slowdown", "time", float("nan")),
+        ("partition", "time", float("nan")),
+        ("slowdown", "duration", float("nan")),
+        ("partition", "duration", float("nan")),
+        ("crash", "recover_time", float("nan")),
+        ("slowdown", "factor", float("nan")),
+        ("retry", "multiplier", float("nan")),
+        ("retry", "base_delay", float("nan")),
+        ("retry", "max_delay", float("inf")),
+        ("retry", "max_retries", True),
+    ]
+
+    @pytest.mark.parametrize(
+        "where,key,value", _BAD_FAULT_NUMBERS, ids=lambda v: str(v)
+    )
+    def test_bad_fault_numbers_fail_at_from_dict(self, where, key, value):
+        data = json.loads((CONFIG_DIR / "cluster_faults.json").read_text())
+        if where == "retry":
+            data["faults"]["retry"][key] = value
+        else:
+            event = next(e for e in data["faults"]["events"] if e["kind"] == where)
+            event[key] = value
+        with pytest.raises(ConfigError, match=key):
+            ClusterSpec.from_dict(data)
+
 
 # ----------------------------------------------------------------------
 # Fleet accounting: one job table, retries carried across nodes
